@@ -17,13 +17,14 @@ use decoder_bench::{
 use fec_channel::sim::{EngineConfig, SimulationEngine};
 use fec_fixed::Llr;
 use fec_json::{Json, ToJson};
+use fec_obs::NoopRecorder;
 use noc_decoder::MappingConfig;
 use noc_mapping::LdpcMapping;
 use noc_sim::{NocConfig, NocSimulator, RoutingAlgorithm, Topology, TopologyKind};
 use rand::{Rng, SeedableRng};
 use wimax_ldpc::decoder::{
-    FixedLayeredConfig, FixedLayeredDecoder, FloodingConfig, FloodingDecoder, LayeredConfig,
-    LayeredDecoder, MinimumExtractionUnit,
+    FixedLayeredConfig, FixedLayeredDecoder, FloodingConfig, FloodingDecoder, FrameInput,
+    LayeredConfig, LayeredDecoder, MinimumExtractionUnit,
 };
 use wimax_ldpc::{CodeRate, QcEncoder, QcLdpcCode};
 use wimax_turbo::siso::SisoInput;
@@ -194,21 +195,15 @@ fn main() {
         .map(|_| frame_rng.gen_range(-64i16..=63))
         .collect();
     let n576 = code576.n();
-    let b1_report = bench("fixed_layered_n576_x16f/serial_b1", 2, 12, || {
-        for f in 0..batch_total {
-            std::hint::black_box(
-                fixed10.decode_quantized(&quantized_frames[f * n576..(f + 1) * n576]),
-            );
+    let decode = |batch: usize| {
+        for frames in quantized_frames.chunks_exact(batch * n576) {
+            let input = FrameInput::Quantized { frames, batch };
+            std::hint::black_box(fixed10.decode_into(input, &mut NoopRecorder));
         }
-    });
-    let b8_report = bench("fixed_layered_n576_x16f/lockstep_b8", 2, 12, || {
-        for half in quantized_frames.chunks_exact(8 * n576) {
-            std::hint::black_box(fixed10.decode_batch_quantized(half, 8));
-        }
-    });
-    let b16_report = bench("fixed_layered_n576_x16f/lockstep_b16", 2, 12, || {
-        std::hint::black_box(fixed10.decode_batch_quantized(&quantized_frames, 16));
-    });
+    };
+    let b1_report = bench("fixed_layered_n576_x16f/serial_b1", 2, 12, || decode(1));
+    let b8_report = bench("fixed_layered_n576_x16f/lockstep_b8", 2, 12, || decode(8));
+    let b16_report = bench("fixed_layered_n576_x16f/lockstep_b16", 2, 12, || decode(16));
     let batch_speedup_b8 = b1_report.min_ns / b8_report.min_ns;
     let frames_per_s = |r: &BenchReport| batch_total as f64 / (r.min_ns * 1e-9);
     let rates = [

@@ -32,7 +32,7 @@
 //! onto one pool, and the counts are bit-identical for any worker count.
 //!
 //! `--batch-frames` hands that many frames per call to the codecs'
-//! lockstep batch decoder (default 1, the classic loop).  Channel noise is
+//! lockstep batch decoder (default 1, one frame per call).  Channel noise is
 //! drawn frame by frame before decoding and batch decodes are bit-identical
 //! per frame, so every count — and the `--json` output — is byte-for-byte
 //! independent of the batch size.

@@ -1,6 +1,7 @@
 //! Monte-Carlo bit/frame error-rate measurement.
 
 use crate::source::hamming_distance;
+use crate::stats::{normal_quantile, wilson_interval};
 
 /// Accumulates bit and frame error counts over a Monte-Carlo run.
 ///
@@ -94,69 +95,13 @@ impl ErrorCounter {
     }
 }
 
-/// Stopping rules for a Monte-Carlo error-rate run.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct MonteCarloConfig {
-    /// Stop after this many frames regardless of the error count.
-    pub max_frames: u64,
-    /// Stop early once this many frame errors have been observed (gives a
-    /// controlled relative confidence on the FER estimate).
-    pub target_frame_errors: u64,
-    /// Minimum number of frames to simulate even if the error target is hit.
-    pub min_frames: u64,
-}
-
-impl Default for MonteCarloConfig {
-    fn default() -> Self {
-        MonteCarloConfig {
-            max_frames: 10_000,
-            target_frame_errors: 50,
-            min_frames: 20,
-        }
-    }
-}
-
-impl MonteCarloConfig {
-    /// Checks the configuration for internal consistency.
-    ///
-    /// `min_frames > max_frames` is rejected rather than silently capped at
-    /// `max_frames` (the frame budget always wins in [`should_stop`], which
-    /// would contradict the `min_frames` documentation), and a zero frame
-    /// budget is rejected because a run could never record anything.
-    ///
-    /// [`should_stop`]: MonteCarloConfig::should_stop
-    ///
-    /// # Errors
-    ///
-    /// Returns a human-readable description of the first inconsistency.
-    pub fn validate(&self) -> Result<(), String> {
-        if self.max_frames == 0 {
-            return Err("max_frames must be at least 1".into());
-        }
-        if self.min_frames > self.max_frames {
-            return Err(format!(
-                "min_frames ({}) exceeds max_frames ({}): the minimum could never be honoured",
-                self.min_frames, self.max_frames
-            ));
-        }
-        Ok(())
-    }
-
-    /// Returns `true` when a run with the given counter state should stop.
-    pub fn should_stop(&self, counter: &ErrorCounter) -> bool {
-        if counter.frames() >= self.max_frames {
-            return true;
-        }
-        counter.frames() >= self.min_frames && counter.frame_errors() >= self.target_frame_errors
-    }
-}
-
 /// How the simulation engine decides that a curve point has simulated
 /// enough frames.
 ///
-/// The classic mode is [`FixedBudget`]: the per-point budget and early-stop
-/// rules of [`MonteCarloConfig`] apply unchanged, and outputs are
-/// byte-identical to every release that predates this enum.
+/// The classic mode is [`FixedBudget`]: a point runs until `max_frames`
+/// frames, or stops early once `target_frame_errors` frame errors have been
+/// seen after at least `min_frames` frames.  Its outputs are byte-identical
+/// to every release that predates the adaptive mode.
 ///
 /// [`RelativeWidth`] is the adaptive mode: a point keeps running
 /// continuation rounds until the Wilson-score confidence interval of its
@@ -171,12 +116,19 @@ impl MonteCarloConfig {
 ///
 /// [`FixedBudget`]: StopRule::FixedBudget
 /// [`RelativeWidth`]: StopRule::RelativeWidth
-#[derive(Debug, Clone, Copy, Default, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum StopRule {
-    /// Fixed frame budget with optional frame-error early stop: exactly the
-    /// [`MonteCarloConfig`] semantics, byte-identical to historical outputs.
-    #[default]
-    FixedBudget,
+    /// Fixed frame budget with optional frame-error early stop.
+    FixedBudget {
+        /// Stop after this many frames regardless of the error count.
+        max_frames: u64,
+        /// Stop early once this many frame errors have been observed (gives
+        /// a controlled relative confidence on the FER estimate).
+        target_frame_errors: u64,
+        /// Minimum number of frames to simulate even if the error target is
+        /// hit.
+        min_frames: u64,
+    },
     /// Confidence-targeted adaptive sampling.
     RelativeWidth {
         /// Stop once the Wilson relative half-width of the FER estimate is
@@ -190,7 +142,20 @@ pub enum StopRule {
         /// Hard per-point frame cap; the point stops here even if the width
         /// target was never reached (e.g. zero observed errors).
         max_frames: u64,
+        /// Minimum number of frames before the width target may stop a
+        /// point.
+        min_frames: u64,
     },
+}
+
+impl Default for StopRule {
+    fn default() -> Self {
+        StopRule::FixedBudget {
+            max_frames: 10_000,
+            target_frame_errors: 50,
+            min_frames: 20,
+        }
+    }
 }
 
 impl StopRule {
@@ -200,20 +165,57 @@ impl StopRule {
         matches!(self, StopRule::RelativeWidth { .. })
     }
 
+    /// The per-point frame budget (the hard cap in adaptive mode).
+    pub(crate) fn max_frames(&self) -> u64 {
+        match *self {
+            StopRule::FixedBudget { max_frames, .. }
+            | StopRule::RelativeWidth { max_frames, .. } => max_frames,
+        }
+    }
+
+    /// Normal quantile of the adaptive confidence level (`0` for a fixed
+    /// budget, which has no interval).
+    pub(crate) fn z(&self) -> f64 {
+        match *self {
+            StopRule::FixedBudget { .. } => 0.0,
+            StopRule::RelativeWidth { confidence, .. } => normal_quantile(0.5 + confidence / 2.0),
+        }
+    }
+
     /// Checks the rule for degenerate settings, naming the offending field.
+    ///
+    /// A fixed budget rejects a zero frame budget (a run could never record
+    /// anything) and `min_frames > max_frames` (the budget always wins, which
+    /// would contradict the `min_frames` documentation).  The adaptive rule
+    /// rejects `target_rel_width` outside `(0, 1)`, `confidence` outside
+    /// `(0.5, 1)`, a zero frame cap and a minimum above the cap.
     ///
     /// # Errors
     ///
-    /// Returns a human-readable description of the first inconsistency:
-    /// `target_rel_width` outside `(0, 1)`, `confidence` outside `(0.5, 1)`,
-    /// or a zero frame cap.
+    /// Returns a human-readable description of the first inconsistency.
     pub fn validate(&self) -> Result<(), String> {
         match *self {
-            StopRule::FixedBudget => Ok(()),
+            StopRule::FixedBudget {
+                max_frames,
+                min_frames,
+                ..
+            } => {
+                if max_frames == 0 {
+                    return Err("max_frames must be at least 1".into());
+                }
+                if min_frames > max_frames {
+                    return Err(format!(
+                        "min_frames ({min_frames}) exceeds max_frames ({max_frames}): the minimum \
+                         could never be honoured"
+                    ));
+                }
+                Ok(())
+            }
             StopRule::RelativeWidth {
                 target_rel_width,
                 confidence,
                 max_frames,
+                min_frames,
             } => {
                 if !(target_rel_width > 0.0 && target_rel_width < 1.0) {
                     return Err(format!(
@@ -232,54 +234,43 @@ impl StopRule {
                         "adaptive max_frames (the per-point frame cap) must be at least 1".into(),
                     );
                 }
+                if min_frames > max_frames {
+                    return Err(format!(
+                        "min_frames ({min_frames}) exceeds the adaptive max_frames cap \
+                         ({max_frames}): the minimum could never be honoured"
+                    ));
+                }
                 Ok(())
             }
         }
     }
-}
 
-/// Drives a Monte-Carlo run: repeatedly calls `simulate_frame`, which must
-/// return `(reference_bits, decoded_bits)`, until the stopping rule fires.
-///
-/// # Example
-///
-/// ```
-/// use fec_channel::{ErrorRateRun, MonteCarloConfig};
-///
-/// let cfg = MonteCarloConfig { max_frames: 100, target_frame_errors: 5, min_frames: 1 };
-/// let counter = ErrorRateRun::new(cfg).run(|i| {
-///     // even frames decode correctly, odd frames have one bit error
-///     let reference = vec![0u8; 8];
-///     let mut decoded = reference.clone();
-///     if i % 2 == 1 { decoded[0] = 1; }
-///     (reference, decoded)
-/// });
-/// assert!(counter.frame_errors() >= 5);
-/// ```
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct ErrorRateRun {
-    config: MonteCarloConfig,
-}
-
-impl ErrorRateRun {
-    /// Creates a run driver with the given stopping configuration.
-    pub fn new(config: MonteCarloConfig) -> Self {
-        ErrorRateRun { config }
-    }
-
-    /// Runs the simulation loop.  The closure receives the frame index.
-    pub fn run<F>(&self, mut simulate_frame: F) -> ErrorCounter
-    where
-        F: FnMut(u64) -> (Vec<u8>, Vec<u8>),
-    {
-        let mut counter = ErrorCounter::new();
-        let mut i = 0;
-        while !self.config.should_stop(&counter) {
-            let (reference, decoded) = simulate_frame(i);
-            counter.record_frame(&reference, &decoded);
-            i += 1;
+    /// Returns `true` when a point with the given counter state is done.
+    pub(crate) fn should_stop(&self, counter: &ErrorCounter) -> bool {
+        let frames = counter.frames();
+        match *self {
+            StopRule::FixedBudget {
+                max_frames,
+                target_frame_errors,
+                min_frames,
+            } => {
+                frames >= max_frames
+                    || (frames >= min_frames && counter.frame_errors() >= target_frame_errors)
+            }
+            StopRule::RelativeWidth {
+                target_rel_width,
+                max_frames,
+                min_frames,
+                ..
+            } => {
+                if frames >= max_frames {
+                    return true;
+                }
+                let rhw =
+                    wilson_interval(counter.frame_errors(), frames, self.z()).relative_half_width();
+                frames >= min_frames && rhw <= target_rel_width
+            }
         }
-        counter
     }
 }
 
@@ -316,114 +307,128 @@ mod tests {
         assert_eq!(a.bit_errors(), 1);
     }
 
+    /// A fixed budget with the given `(max_frames, target_frame_errors,
+    /// min_frames)`.
+    fn fixed(max_frames: u64, target_frame_errors: u64, min_frames: u64) -> StopRule {
+        StopRule::FixedBudget {
+            max_frames,
+            target_frame_errors,
+            min_frames,
+        }
+    }
+
+    /// Records frames from `frame` until `rule` says stop, the way the
+    /// engine drives one point.
+    fn drive(rule: StopRule, frame: impl Fn() -> (Vec<u8>, Vec<u8>)) -> ErrorCounter {
+        let mut counter = ErrorCounter::new();
+        while !rule.should_stop(&counter) {
+            let (reference, decoded) = frame();
+            counter.record_frame(&reference, &decoded);
+        }
+        counter
+    }
+
     #[test]
     fn stopping_rules() {
-        let cfg = MonteCarloConfig {
-            max_frames: 10,
-            target_frame_errors: 2,
-            min_frames: 3,
-        };
+        let rule = fixed(10, 2, 3);
         let mut c = ErrorCounter::new();
         c.record_frame(&[0], &[1]);
         c.record_frame(&[0], &[1]);
         // error target hit but min_frames not reached yet
-        assert!(!cfg.should_stop(&c));
+        assert!(!rule.should_stop(&c));
         c.record_frame(&[0], &[0]);
-        assert!(cfg.should_stop(&c));
+        assert!(rule.should_stop(&c));
     }
 
     #[test]
     fn validate_accepts_defaults_and_rejects_inconsistency() {
-        assert!(MonteCarloConfig::default().validate().is_ok());
-        let inconsistent = MonteCarloConfig {
-            max_frames: 10,
-            target_frame_errors: 5,
-            min_frames: 11,
-        };
-        let err = inconsistent.validate().unwrap_err();
-        assert!(err.contains("min_frames"), "{err}");
-        let empty = MonteCarloConfig {
-            max_frames: 0,
-            target_frame_errors: 5,
-            min_frames: 0,
-        };
-        assert!(empty.validate().is_err());
+        assert!(StopRule::default().validate().is_ok());
+        let err = fixed(10, 5, 11).validate().unwrap_err();
+        assert_eq!(
+            err,
+            "min_frames (11) exceeds max_frames (10): the minimum could never be honoured"
+        );
+        let err = fixed(0, 5, 0).validate().unwrap_err();
+        assert_eq!(err, "max_frames must be at least 1");
     }
 
     #[test]
     fn stop_rule_validate_rejects_degenerate_adaptive_settings() {
-        assert!(StopRule::FixedBudget.validate().is_ok());
-        assert!(StopRule::default() == StopRule::FixedBudget);
-        let good = StopRule::RelativeWidth {
-            target_rel_width: 0.2,
-            confidence: 0.95,
-            max_frames: 1_000,
-        };
+        let adaptive =
+            |target_rel_width, confidence, max_frames, min_frames| StopRule::RelativeWidth {
+                target_rel_width,
+                confidence,
+                max_frames,
+                min_frames,
+            };
+        assert!(!StopRule::default().is_adaptive());
+        let good = adaptive(0.2, 0.95, 1_000, 32);
+        assert!(good.is_adaptive());
         assert!(good.validate().is_ok());
 
         for bad_target in [0.0, -0.1, 1.0, 1.5, f64::NAN] {
-            let err = StopRule::RelativeWidth {
-                target_rel_width: bad_target,
-                confidence: 0.95,
-                max_frames: 1_000,
-            }
-            .validate()
-            .unwrap_err();
+            let err = adaptive(bad_target, 0.95, 1_000, 32)
+                .validate()
+                .unwrap_err();
             assert!(err.contains("target_rel_width"), "{bad_target}: {err}");
         }
         for bad_confidence in [0.5, 0.2, 1.0, 1.5, f64::NAN] {
-            let err = StopRule::RelativeWidth {
-                target_rel_width: 0.2,
-                confidence: bad_confidence,
-                max_frames: 1_000,
-            }
-            .validate()
-            .unwrap_err();
+            let err = adaptive(0.2, bad_confidence, 1_000, 32)
+                .validate()
+                .unwrap_err();
             assert!(err.contains("confidence"), "{bad_confidence}: {err}");
         }
-        let err = StopRule::RelativeWidth {
-            target_rel_width: 0.2,
-            confidence: 0.95,
-            max_frames: 0,
-        }
-        .validate()
-        .unwrap_err();
+        let err = adaptive(0.2, 0.95, 0, 0).validate().unwrap_err();
         assert!(err.contains("max_frames"), "{err}");
+        let err = adaptive(0.2, 0.95, 100, 101).validate().unwrap_err();
+        assert_eq!(
+            err,
+            "min_frames (101) exceeds the adaptive max_frames cap (100): the minimum could \
+             never be honoured"
+        );
+    }
+
+    #[test]
+    fn adaptive_rule_stops_on_width_but_not_before_min_frames() {
+        let rule = StopRule::RelativeWidth {
+            target_rel_width: 0.3,
+            confidence: 0.9,
+            max_frames: 10_000,
+            min_frames: 100,
+        };
+        // Every frame errs, so the width target is met within a few frames;
+        // the minimum still holds the point open until frame 100.
+        let counter = drive(rule, || (vec![0u8; 4], vec![1u8, 0, 0, 0]));
+        assert_eq!(counter.frames(), 100);
+        // Error-free frames never narrow the relative width: the cap stops.
+        let rule = StopRule::RelativeWidth {
+            target_rel_width: 0.3,
+            confidence: 0.9,
+            max_frames: 77,
+            min_frames: 1,
+        };
+        assert_eq!(drive(rule, || (vec![0u8; 4], vec![0u8; 4])).frames(), 77);
     }
 
     #[test]
     fn max_frames_always_stops() {
-        let cfg = MonteCarloConfig {
-            max_frames: 2,
-            target_frame_errors: 100,
-            min_frames: 1,
-        };
+        let rule = fixed(2, 100, 1);
         let mut c = ErrorCounter::new();
         c.record_frame(&[0], &[0]);
         c.record_frame(&[0], &[0]);
-        assert!(cfg.should_stop(&c));
+        assert!(rule.should_stop(&c));
     }
 
     #[test]
     fn run_driver_honours_error_target() {
-        let cfg = MonteCarloConfig {
-            max_frames: 1_000,
-            target_frame_errors: 7,
-            min_frames: 1,
-        };
-        let counter = ErrorRateRun::new(cfg).run(|_| (vec![0u8; 4], vec![1u8, 0, 0, 0]));
+        let counter = drive(fixed(1_000, 7, 1), || (vec![0u8; 4], vec![1u8, 0, 0, 0]));
         assert_eq!(counter.frame_errors(), 7);
         assert_eq!(counter.frames(), 7);
     }
 
     #[test]
     fn run_driver_honours_max_frames() {
-        let cfg = MonteCarloConfig {
-            max_frames: 13,
-            target_frame_errors: 1_000,
-            min_frames: 1,
-        };
-        let counter = ErrorRateRun::new(cfg).run(|_| (vec![0u8; 4], vec![0u8; 4]));
+        let counter = drive(fixed(13, 1_000, 1), || (vec![0u8; 4], vec![0u8; 4]));
         assert_eq!(counter.frames(), 13);
         assert_eq!(counter.frame_errors(), 0);
     }

@@ -8,7 +8,7 @@
 //!   every decoder flavour (`wimax_ldpc::codec`, `wimax_turbo::codec`);
 //! * [`SimulationEngine`] — shards frames across worker threads, gives every
 //!   shard an independent deterministic RNG stream, aggregates via
-//!   [`ErrorCounter::merge`] and stops early per [`MonteCarloConfig`];
+//!   [`ErrorCounter::merge`] and stops each point per its [`StopRule`];
 //! * [`BerPoint`] / [`BerCurve`] — machine-readable results
 //!   ([`fec_json::ToJson`]).
 //!
@@ -48,7 +48,7 @@
 //! # Example
 //!
 //! ```
-//! use fec_channel::sim::{DecodedFrame, EngineConfig, FecCodec, SimulationEngine};
+//! use fec_channel::sim::{DecodedFrame, EngineConfig, FecCodec, Registry, SimulationEngine};
 //! use fec_fixed::Llr;
 //!
 //! /// A rate-1/2 repetition code: good enough to show the engine at work.
@@ -61,12 +61,15 @@
 //!     fn encode(&self, info: &[u8]) -> Vec<u8> {
 //!         info.iter().chain(info).copied().collect()
 //!     }
-//!     fn decode(&self, llrs: &[Llr]) -> DecodedFrame {
+//!     fn decode_frames(&self, frames: &[&[Llr]], _obs: Option<&mut Registry>) -> Vec<DecodedFrame> {
 //!         let k = self.info_bits();
-//!         let bits = (0..k)
-//!             .map(|i| u8::from(llrs[i].value() + llrs[i + k].value() < 0.0))
-//!             .collect();
-//!         DecodedFrame { info_bits: bits, iterations: 1, converged: true }
+//!         let decode = |llrs: &[Llr]| {
+//!             let bits = (0..k)
+//!                 .map(|i| u8::from(llrs[i].value() + llrs[i + k].value() < 0.0))
+//!                 .collect();
+//!             DecodedFrame { info_bits: bits, iterations: 1, converged: true }
+//!         };
+//!         frames.iter().map(|f| decode(f)).collect()
 //!     }
 //! }
 //!
@@ -76,15 +79,19 @@
 //! ```
 
 use crate::awgn::{AwgnChannel, EbN0};
-use crate::ber::{ErrorCounter, MonteCarloConfig, StopRule};
+use crate::ber::{ErrorCounter, StopRule};
 use crate::modulation::BpskModulator;
-use crate::stats::{normal_quantile, wilson_interval};
+use crate::stats::wilson_interval;
 use fec_fixed::Llr;
 use fec_json::{Json, ToJson};
-use fec_obs::{Class, Clock, Registry};
+use fec_obs::{Class, Clock};
 use fec_sched::{Job, JobOutcome, PoolObs, WorkPool};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+
+/// The metric registry [`FecCodec::decode_frames`] records into, re-exported
+/// so codec crates can implement the trait without depending on `fec-obs`.
+pub use fec_obs::Registry;
 
 /// The result of decoding one frame.
 #[derive(Debug, Clone, PartialEq)]
@@ -117,54 +124,31 @@ pub trait FecCodec: Send + Sync {
     /// bits.
     fn encode(&self, info: &[u8]) -> Vec<u8>;
 
-    /// Decodes one frame of channel LLRs (length `codeword_bits()`).
-    fn decode(&self, llrs: &[Llr]) -> DecodedFrame;
+    /// Decodes a batch of frames of channel LLRs (each of length
+    /// `codeword_bits()`), returning one [`DecodedFrame`] per input frame in
+    /// order — the one decode method every codec implements.
+    ///
+    /// Results must be **bit-identical** to decoding each frame alone (the
+    /// engine's determinism contract extends to the batch size), and
+    /// observing must never change them.  With `obs = Some(..)` a codec may
+    /// record its own datapath metrics (e.g. `fixed.*`); Count-class ones
+    /// must be a pure per-frame function.  The generic `codec.*` family
+    /// (`codec.frames`, the `codec.iterations` histogram, `codec.converged`)
+    /// is recorded by the engine, so single-frame codecs simply ignore
+    /// `obs`.
+    fn decode_frames(&self, frames: &[&[Llr]], obs: Option<&mut Registry>) -> Vec<DecodedFrame>;
 
-    /// Decodes a batch of frames, returning one [`DecodedFrame`] per input
-    /// frame in order.
-    ///
-    /// The default implementation simply loops over [`decode`]
-    /// (batch-oblivious codecs stay correct for free); codecs with a
-    /// lockstep batch datapath override it.  Overrides must return results
-    /// **bit-identical** to decoding each frame alone — the engine's
-    /// determinism contract extends to the batch size.
-    ///
-    /// [`decode`]: FecCodec::decode
+    /// Decodes one frame: a batch of one through
+    /// [`decode_frames`](FecCodec::decode_frames).
+    fn decode(&self, llrs: &[Llr]) -> DecodedFrame {
+        self.decode_frames(&[llrs], None)
+            .pop()
+            .expect("one decoded frame per input frame")
+    }
+
+    /// Decodes a batch of frames without observation.
     fn decode_batch(&self, frames: &[&[Llr]]) -> Vec<DecodedFrame> {
-        frames.iter().map(|f| self.decode(f)).collect()
-    }
-
-    /// Decodes one frame while recording metrics into `obs`.
-    ///
-    /// The default decodes via [`decode`] and records the generic `codec.*`
-    /// Count metrics with [`record_decoded_frame`]; instrumented codecs
-    /// override it to thread a recorder through their datapath.  Overrides
-    /// must return a frame **bit-identical** to [`decode`] — observation
-    /// never changes results — and must keep their Count-class metrics a
-    /// pure per-frame function so the engine's determinism contract extends
-    /// to the registry.
-    ///
-    /// [`decode`]: FecCodec::decode
-    fn decode_observed(&self, llrs: &[Llr], obs: &mut Registry) -> DecodedFrame {
-        let frame = self.decode(llrs);
-        record_decoded_frame(obs, &frame);
-        frame
-    }
-
-    /// Decodes a batch of frames while recording metrics into `obs`.
-    ///
-    /// Same contract as [`decode_batch`] plus the metric rules of
-    /// [`decode_observed`]: the default loops over [`decode_observed`], and
-    /// overrides must emit Count-class metrics identical to decoding each
-    /// frame alone.
-    ///
-    /// [`decode_batch`]: FecCodec::decode_batch
-    /// [`decode_observed`]: FecCodec::decode_observed
-    fn decode_batch_observed(&self, frames: &[&[Llr]], obs: &mut Registry) -> Vec<DecodedFrame> {
-        frames
-            .iter()
-            .map(|f| self.decode_observed(f, obs))
-            .collect()
+        self.decode_frames(frames, None)
     }
 
     /// Code rate `k / n`, used to set the AWGN noise variance for a target
@@ -177,9 +161,9 @@ pub trait FecCodec: Send + Sync {
 /// Records the codec-level Count metrics for one decoded frame:
 /// `codec.frames`, the `codec.iterations` histogram and `codec.converged`.
 ///
-/// Shared by the [`FecCodec::decode_observed`] default and by instrumented
-/// overrides, so every codec reports the same baseline metric family.
-pub fn record_decoded_frame(obs: &mut Registry, frame: &DecodedFrame) {
+/// The engine calls it once per frame on observed runs, so every codec
+/// reports the same baseline metric family.
+fn record_decoded_frame(obs: &mut Registry, frame: &DecodedFrame) {
     obs.incr(Class::Count, "codec.frames", 1);
     obs.observe(Class::Count, "codec.iterations", frame.iterations as u64);
     if frame.converged {
@@ -201,19 +185,15 @@ pub struct EngineConfig {
     pub frames_per_shard_round: u64,
     /// Base seed; each shard stream is derived from it with SplitMix64.
     pub seed: u64,
-    /// Frames handed to [`FecCodec::decode_batch`] per call (`1` = the
-    /// classic one-frame-at-a-time loop).  Because batch decodes are
-    /// bit-identical per frame and the channel RNG is consumed frame by
-    /// frame *before* decoding, results do not depend on this value.
+    /// Frames handed to [`FecCodec::decode_frames`] per call (`1` = one
+    /// frame at a time).  Because batch decodes are bit-identical per frame
+    /// and the channel RNG is consumed frame by frame *before* decoding,
+    /// results do not depend on this value.
     pub batch_frames: usize,
-    /// Stopping rules (frame budget, error target, minimum frames).
-    pub stop: MonteCarloConfig,
-    /// How a point decides it is done.  [`StopRule::FixedBudget`] (the
-    /// default) applies `stop` unchanged and is byte-identical to the
-    /// historical engine; [`StopRule::RelativeWidth`] runs adaptive
-    /// continuation rounds until the Wilson relative half-width of the FER
-    /// estimate reaches the target (`stop.min_frames` is still honoured as
-    /// the per-point minimum).
+    /// How a point decides it is done: [`StopRule::FixedBudget`] (the
+    /// default, byte-identical to the historical engine) or the adaptive
+    /// [`StopRule::RelativeWidth`], which runs continuation rounds until the
+    /// Wilson relative half-width of the FER estimate reaches the target.
     pub stop_rule: StopRule,
     /// Optional curve-wide frame budget for the adaptive mode: at every
     /// round boundary the remaining global budget is rebalanced across the
@@ -233,8 +213,7 @@ impl Default for EngineConfig {
             frames_per_shard_round: 8,
             seed: 0x5EED,
             batch_frames: 1,
-            stop: MonteCarloConfig::default(),
-            stop_rule: StopRule::FixedBudget,
+            stop_rule: StopRule::default(),
             global_frame_cap: None,
         }
     }
@@ -246,7 +225,7 @@ impl EngineConfig {
     pub fn fixed_frames(frames: u64, seed: u64) -> Self {
         EngineConfig {
             seed,
-            stop: MonteCarloConfig {
+            stop_rule: StopRule::FixedBudget {
                 max_frames: frames,
                 target_frame_errors: u64::MAX,
                 min_frames: frames,
@@ -269,15 +248,11 @@ impl EngineConfig {
     pub fn adaptive(max_frames: u64, target_rel_width: f64, confidence: f64, seed: u64) -> Self {
         EngineConfig {
             seed,
-            stop: MonteCarloConfig {
-                max_frames,
-                target_frame_errors: u64::MAX,
-                min_frames: Self::ADAPTIVE_MIN_FRAMES.min(max_frames),
-            },
             stop_rule: StopRule::RelativeWidth {
                 target_rel_width,
                 confidence,
                 max_frames,
+                min_frames: Self::ADAPTIVE_MIN_FRAMES.min(max_frames),
             },
             ..EngineConfig::default()
         }
@@ -303,12 +278,6 @@ impl EngineConfig {
     /// Builder-style setter for the seed.
     pub fn with_seed(mut self, seed: u64) -> Self {
         self.seed = seed;
-        self
-    }
-
-    /// Builder-style setter for the stopping rules.
-    pub fn with_stop(mut self, stop: MonteCarloConfig) -> Self {
-        self.stop = stop;
         self
     }
 
@@ -339,7 +308,7 @@ impl EngineConfig {
     ///
     /// `shards == 0` is rejected here (it would be a division by zero in the
     /// round-splitting schedule), together with every inconsistency caught
-    /// by [`MonteCarloConfig::validate`].
+    /// by [`StopRule::validate`].
     ///
     /// # Errors
     ///
@@ -354,30 +323,17 @@ impl EngineConfig {
                     .into(),
             );
         }
-        self.stop.validate()?;
         self.stop_rule.validate()?;
-        match self.stop_rule {
-            StopRule::FixedBudget => {
-                if self.global_frame_cap.is_some() {
-                    return Err(
-                        "global_frame_cap requires the adaptive StopRule::RelativeWidth \
-                         (a fixed budget already pins every point's frame count)"
-                            .into(),
-                    );
-                }
+        if self.stop_rule.is_adaptive() {
+            if self.global_frame_cap == Some(0) {
+                return Err("global_frame_cap must be at least 1 when set".into());
             }
-            StopRule::RelativeWidth { max_frames, .. } => {
-                if self.stop.min_frames > max_frames {
-                    return Err(format!(
-                        "min_frames ({}) exceeds the adaptive max_frames cap ({}): the minimum \
-                         could never be honoured",
-                        self.stop.min_frames, max_frames
-                    ));
-                }
-                if self.global_frame_cap == Some(0) {
-                    return Err("global_frame_cap must be at least 1 when set".into());
-                }
-            }
+        } else if self.global_frame_cap.is_some() {
+            return Err(
+                "global_frame_cap requires the adaptive StopRule::RelativeWidth \
+                 (a fixed budget already pins every point's frame count)"
+                    .into(),
+            );
         }
         Ok(())
     }
@@ -563,12 +519,7 @@ impl SimulationEngine {
             modulator: &modulator,
             cfg,
             round_quota: (shards as u64).saturating_mul(cfg.frames_per_shard_round),
-            z: match cfg.stop_rule {
-                StopRule::FixedBudget => 0.0,
-                StopRule::RelativeWidth { confidence, .. } => {
-                    normal_quantile(0.5 + confidence / 2.0)
-                }
-            },
+            z: cfg.stop_rule.z(),
             observed: observe.is_some(),
         };
 
@@ -671,10 +622,7 @@ fn record_point_obs(
         &format!("engine.p{point}.rounds"),
         state.rounds,
     );
-    let budget = match cfg.stop_rule {
-        StopRule::FixedBudget => cfg.stop.max_frames,
-        StopRule::RelativeWidth { max_frames, .. } => max_frames,
-    };
+    let budget = cfg.stop_rule.max_frames();
     if c.frames() < budget {
         obs.incr(Class::Count, &format!("engine.p{point}.early_stop"), 1);
     }
@@ -741,34 +689,21 @@ const ADAPTIVE_ROUND_GROWTH: u64 = 4;
 /// of the merged counter and the configuration: no clocks, no completion
 /// order, no worker count.
 fn next_round_frames(ctx: &CurveCtx<'_>, counter: &ErrorCounter) -> u64 {
-    let cfg = ctx.cfg;
+    let rule = &ctx.cfg.stop_rule;
     let base = ctx.round_quota.max(1);
-    match cfg.stop_rule {
-        StopRule::FixedBudget => {
-            if cfg.stop.should_stop(counter) {
-                return 0;
-            }
-            // `should_stop` guarantees frames < max_frames here, but keep
-            // the subtraction saturating so a future stopping rule cannot
-            // turn an off-by-one into a u64 underflow and a near-infinite
-            // round.
-            let remaining = cfg.stop.max_frames.saturating_sub(counter.frames());
-            remaining.min(base)
-        }
+    if rule.should_stop(counter) {
+        return 0;
+    }
+    // `should_stop` guarantees frames < max_frames here, but keep the
+    // subtraction saturating so a future stopping rule cannot turn an
+    // off-by-one into a u64 underflow and a near-infinite round.
+    let frames = counter.frames();
+    let remaining = rule.max_frames().saturating_sub(frames);
+    match *rule {
+        StopRule::FixedBudget { .. } => remaining.min(base),
         StopRule::RelativeWidth {
-            target_rel_width,
-            max_frames,
-            ..
+            target_rel_width, ..
         } => {
-            let frames = counter.frames();
-            if frames >= max_frames {
-                return 0;
-            }
-            let rhw = wilson_interval(counter.frame_errors(), frames, ctx.z).relative_half_width();
-            if frames >= cfg.stop.min_frames && rhw <= target_rel_width {
-                return 0;
-            }
-            let remaining = max_frames - frames;
             if frames == 0 {
                 return base.min(remaining);
             }
@@ -777,6 +712,7 @@ fn next_round_frames(ctx: &CurveCtx<'_>, counter: &ErrorCounter) -> u64 {
             // for the difference — clamped below to one full round (tiny
             // top-ups would strand shards idle) and above to a growth
             // limit (re-steer from fresher counts before committing more).
+            let rhw = wilson_interval(counter.frame_errors(), frames, ctx.z).relative_half_width();
             let ratio = rhw / target_rel_width;
             let projected_total = (frames as f64 * ratio * ratio).ceil();
             let needed_f = (projected_total - frames as f64).max(0.0);
@@ -933,36 +869,23 @@ fn build_round_jobs<'env>(
             } else {
                 None
             };
-            if batch <= 1 {
-                for _ in 0..n {
-                    simulate_frame(
-                        codec,
-                        channel,
-                        modulator,
-                        &mut rng,
-                        &mut acc,
-                        reg.as_deref_mut(),
-                    );
-                }
-            } else {
-                // Chunk the shard's quota into decode batches; the final
-                // chunk may be ragged.  The RNG is consumed frame by frame
-                // during generation, so the stream order — and therefore
-                // every count — is independent of `batch`.
-                let mut done = 0u64;
-                while done < n {
-                    let b = (n - done).min(batch as u64) as usize;
-                    simulate_batch(
-                        codec,
-                        channel,
-                        modulator,
-                        &mut rng,
-                        &mut acc,
-                        b,
-                        reg.as_deref_mut(),
-                    );
-                    done += b as u64;
-                }
+            // Chunk the shard's quota into decode batches; the final chunk
+            // may be ragged.  The RNG is consumed frame by frame during
+            // generation, so the stream order — and therefore every
+            // count — is independent of `batch`.
+            let mut done = 0u64;
+            while done < n {
+                let b = (n - done).min(batch as u64) as usize;
+                simulate_batch(
+                    codec,
+                    channel,
+                    modulator,
+                    &mut rng,
+                    &mut acc,
+                    b,
+                    reg.as_deref_mut(),
+                );
+                done += b as u64;
             }
             (rng, acc, reg)
         }));
@@ -990,38 +913,13 @@ fn finish_point(ebn0_db: f64, total: &PointAccumulator) -> BerPoint {
     }
 }
 
-/// Simulates one frame end to end and records it into `acc` (and, when
-/// observing, into the shard registry `obs`).
-fn simulate_frame(
-    codec: &dyn FecCodec,
-    channel: &AwgnChannel,
-    modulator: &BpskModulator,
-    rng: &mut StdRng,
-    acc: &mut PointAccumulator,
-    obs: Option<&mut Registry>,
-) {
-    let info: Vec<u8> = (0..codec.info_bits())
-        .map(|_| rng.gen_range(0..=1))
-        .collect();
-    let codeword = codec.encode(&info);
-    debug_assert_eq!(codeword.len(), codec.codeword_bits());
-    let received = channel.transmit(&modulator.modulate(&codeword), rng);
-    let llrs = channel.llrs(&received);
-    let decoded = match obs {
-        Some(obs) => codec.decode_observed(&llrs, obs),
-        None => codec.decode(&llrs),
-    };
-    acc.counter.record_frame(&info, &decoded.info_bits);
-    acc.iterations += decoded.iterations as u64;
-}
-
-/// Simulates `batch` frames end to end with one [`FecCodec::decode_batch`]
-/// call and records them into `acc` in generation order.
+/// Simulates `batch` frames end to end with one [`FecCodec::decode_frames`]
+/// call and records them into `acc` (and, when observing, into the shard
+/// registry `obs`) in generation order.
 ///
 /// Each frame's channel randomness is drawn **fully, frame by frame, before
-/// any decode** — the exact call order of the serial loop — so the shard's
-/// RNG stream (and with it every error count) is bit-identical to
-/// `batch_frames == 1`.
+/// any decode**, so the shard's RNG stream (and with it every error count)
+/// is bit-identical at any `batch_frames`.
 fn simulate_batch(
     codec: &dyn FecCodec,
     channel: &AwgnChannel,
@@ -1029,7 +927,7 @@ fn simulate_batch(
     rng: &mut StdRng,
     acc: &mut PointAccumulator,
     batch: usize,
-    obs: Option<&mut Registry>,
+    mut obs: Option<&mut Registry>,
 ) {
     let mut infos = Vec::with_capacity(batch);
     let mut llr_frames = Vec::with_capacity(batch);
@@ -1044,14 +942,14 @@ fn simulate_batch(
         infos.push(info);
     }
     let frames: Vec<&[Llr]> = llr_frames.iter().map(|f| f.as_slice()).collect();
-    let decoded = match obs {
-        Some(obs) => codec.decode_batch_observed(&frames, obs),
-        None => codec.decode_batch(&frames),
-    };
+    let decoded = codec.decode_frames(&frames, obs.as_deref_mut());
     debug_assert_eq!(decoded.len(), batch);
     for (info, frame) in infos.iter().zip(&decoded) {
         acc.counter.record_frame(info, &frame.info_bits);
         acc.iterations += frame.iterations as u64;
+        if let Some(obs) = obs.as_deref_mut() {
+            record_decoded_frame(obs, frame);
+        }
     }
 }
 
@@ -1089,6 +987,7 @@ fn shard_seed(seed: u64, shard: u64, ebn0_db: f64) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::stats::normal_quantile;
 
     /// Rate-1/2 repetition code used as a cheap, error-prone test codec.
     struct Repetition {
@@ -1112,15 +1011,17 @@ mod tests {
             info.iter().chain(info).copied().collect()
         }
 
-        fn decode(&self, llrs: &[Llr]) -> DecodedFrame {
-            let bits = (0..self.k)
-                .map(|i| u8::from(llrs[i].value() + llrs[i + self.k].value() < 0.0))
-                .collect();
-            DecodedFrame {
-                info_bits: bits,
-                iterations: 1,
-                converged: true,
-            }
+        fn decode_frames(&self, frames: &[&[Llr]], _: Option<&mut Registry>) -> Vec<DecodedFrame> {
+            frames
+                .iter()
+                .map(|llrs| DecodedFrame {
+                    info_bits: (0..self.k)
+                        .map(|i| u8::from(llrs[i].value() + llrs[i + self.k].value() < 0.0))
+                        .collect(),
+                    iterations: 1,
+                    converged: true,
+                })
+                .collect()
         }
     }
 
@@ -1144,23 +1045,36 @@ mod tests {
             info.to_vec()
         }
 
-        fn decode(&self, llrs: &[Llr]) -> DecodedFrame {
-            DecodedFrame {
-                info_bits: llrs.iter().map(|l| u8::from(l.value() >= 0.0)).collect(),
-                iterations: 1,
-                converged: false,
-            }
+        fn decode_frames(&self, frames: &[&[Llr]], _: Option<&mut Registry>) -> Vec<DecodedFrame> {
+            frames
+                .iter()
+                .map(|llrs| DecodedFrame {
+                    info_bits: llrs.iter().map(|l| u8::from(l.value() >= 0.0)).collect(),
+                    iterations: 1,
+                    converged: false,
+                })
+                .collect()
         }
     }
 
-    fn engine(workers: usize, stop: MonteCarloConfig) -> SimulationEngine {
+    /// A fixed budget with the given `(max_frames, target_frame_errors,
+    /// min_frames)`.
+    fn budget(max_frames: u64, target_frame_errors: u64, min_frames: u64) -> StopRule {
+        StopRule::FixedBudget {
+            max_frames,
+            target_frame_errors,
+            min_frames,
+        }
+    }
+
+    fn engine(workers: usize, stop_rule: StopRule) -> SimulationEngine {
         SimulationEngine::new(EngineConfig {
             workers,
             shards: 8,
             frames_per_shard_round: 4,
             seed: 99,
             batch_frames: 1,
-            stop,
+            stop_rule,
             ..EngineConfig::default()
         })
     }
@@ -1168,11 +1082,7 @@ mod tests {
     #[test]
     fn identical_counts_for_1_2_and_8_workers() {
         let codec = Repetition { k: 24 };
-        let stop = MonteCarloConfig {
-            max_frames: 300,
-            target_frame_errors: 40,
-            min_frames: 50,
-        };
+        let stop = budget(300, 40, 50);
         let reference = engine(1, stop).run_point(&codec, 1.0);
         for workers in [2, 8] {
             let point = engine(workers, stop).run_point(&codec, 1.0);
@@ -1185,11 +1095,7 @@ mod tests {
         // The (point, shard) pool schedule with early stopping active: every
         // point of the curve must be bit-identical at any worker count.
         let codec = Repetition { k: 24 };
-        let stop = MonteCarloConfig {
-            max_frames: 200,
-            target_frame_errors: 25,
-            min_frames: 30,
-        };
+        let stop = budget(200, 25, 30);
         let snrs = [-1.0, 1.0, 3.0, 5.0];
         let reference = engine(1, stop).run_curve(&codec, &snrs);
         for workers in [2, 8] {
@@ -1204,11 +1110,7 @@ mod tests {
         // drawn frame by frame before decoding, so any (workers, batch)
         // combination must reproduce the serial single-frame counts.
         let codec = Repetition { k: 24 };
-        let stop = MonteCarloConfig {
-            max_frames: 300,
-            target_frame_errors: 40,
-            min_frames: 50,
-        };
+        let stop = budget(300, 40, 50);
         let reference = engine(1, stop).run_point(&codec, 1.0);
         for workers in [1, 2, 8] {
             for batch in [1, 4, 8] {
@@ -1218,7 +1120,7 @@ mod tests {
                     frames_per_shard_round: 4,
                     seed: 99,
                     batch_frames: batch,
-                    stop,
+                    stop_rule: stop,
                     ..EngineConfig::default()
                 });
                 let point = eng.run_point(&codec, 1.0);
@@ -1292,11 +1194,7 @@ mod tests {
     fn early_stopping_never_undershoots_min_frames() {
         // Every frame errs, so the error target is hit immediately; the
         // engine must still simulate at least `min_frames` frames.
-        let stop = MonteCarloConfig {
-            max_frames: 10_000,
-            target_frame_errors: 1,
-            min_frames: 97,
-        };
+        let stop = budget(10_000, 1, 97);
         let point = engine(2, stop).run_point(&AlwaysWrong, 0.0);
         assert!(point.frames >= 97, "frames = {}", point.frames);
         assert!(point.frames < 10_000, "early stopping should fire");
@@ -1306,11 +1204,7 @@ mod tests {
     #[test]
     fn max_frames_is_never_exceeded() {
         let codec = Repetition { k: 8 };
-        let stop = MonteCarloConfig {
-            max_frames: 41,
-            target_frame_errors: u64::MAX,
-            min_frames: 1,
-        };
+        let stop = budget(41, u64::MAX, 1);
         let point = engine(3, stop).run_point(&codec, 1.0);
         assert_eq!(point.frames, 41);
     }
@@ -1355,27 +1249,13 @@ mod tests {
     fn engine_rejects_min_frames_above_max_frames() {
         // Regression: this configuration used to be accepted and silently
         // capped at `max_frames`, contradicting the `min_frames` contract.
-        let _ = engine(
-            1,
-            MonteCarloConfig {
-                max_frames: 10,
-                target_frame_errors: 5,
-                min_frames: 50,
-            },
-        );
+        let _ = engine(1, budget(10, 5, 50));
     }
 
     #[test]
     #[should_panic(expected = "max_frames must be at least 1")]
     fn engine_rejects_zero_frame_budget() {
-        let _ = engine(
-            1,
-            MonteCarloConfig {
-                max_frames: 0,
-                target_frame_errors: 5,
-                min_frames: 0,
-            },
-        );
+        let _ = engine(1, budget(0, 5, 0));
     }
 
     #[test]
@@ -1384,11 +1264,7 @@ mod tests {
         // themselves) must be byte-identical at any (workers, batch)
         // combination, because shard registries merge commutatively.
         let codec = Repetition { k: 24 };
-        let stop = MonteCarloConfig {
-            max_frames: 200,
-            target_frame_errors: 25,
-            min_frames: 30,
-        };
+        let stop = budget(200, 25, 30);
         let clock = fec_obs::ManualClock::new();
         let snrs = [0.0, 4.0];
         let mut reference_obs = Registry::new();
@@ -1414,7 +1290,7 @@ mod tests {
                     frames_per_shard_round: 4,
                     seed: 99,
                     batch_frames: batch,
-                    stop,
+                    stop_rule: stop,
                     ..EngineConfig::default()
                 });
                 let mut obs = Registry::new();
@@ -1469,8 +1345,14 @@ mod tests {
     fn adaptive_never_undershoots_min_frames() {
         // Every frame errs, so the width target is met almost immediately;
         // the point must still honour min_frames before stopping.
-        let mut cfg = EngineConfig::adaptive(10_000, 0.3, 0.9, 7).with_shards(8);
-        cfg.stop.min_frames = 100; // above the 32-frame base round
+        let mut cfg = EngineConfig::adaptive(10_000, 0.3, 0.9, 7)
+            .with_shards(8)
+            .with_stop_rule(StopRule::RelativeWidth {
+                target_rel_width: 0.3,
+                confidence: 0.9,
+                max_frames: 10_000,
+                min_frames: 100, // above the 32-frame base round
+            });
         cfg.frames_per_shard_round = 4;
         let point = SimulationEngine::new(cfg).run_point(&AlwaysWrong, 0.0);
         assert!(point.frames >= 100, "frames = {}", point.frames);
@@ -1586,13 +1468,18 @@ mod tests {
             target_rel_width: 0.2,
             confidence: 0.95,
             max_frames: 0,
+            min_frames: 0,
         };
         let err = cfg.validate().unwrap_err();
         assert!(err.contains("max_frames"), "{err}");
         // min_frames above the adaptive cap can never be honoured.
-        let mut cfg = EngineConfig::adaptive(100, 0.2, 0.95, 1);
-        cfg.stop.min_frames = 101;
-        cfg.stop.max_frames = 101;
+        let cfg =
+            EngineConfig::adaptive(100, 0.2, 0.95, 1).with_stop_rule(StopRule::RelativeWidth {
+                target_rel_width: 0.2,
+                confidence: 0.95,
+                max_frames: 100,
+                min_frames: 101,
+            });
         let err = cfg.validate().unwrap_err();
         assert!(err.contains("min_frames"), "{err}");
         // A global cap makes no sense with a fixed budget.
@@ -1636,8 +1523,8 @@ mod tests {
 
     #[test]
     fn effective_workers_is_capped_by_shards() {
-        let eng = engine(64, MonteCarloConfig::default());
+        let eng = engine(64, StopRule::default());
         assert_eq!(eng.effective_workers(), 8);
-        assert!(engine(0, MonteCarloConfig::default()).effective_workers() >= 1);
+        assert!(engine(0, StopRule::default()).effective_workers() >= 1);
     }
 }

@@ -14,7 +14,7 @@
 //! validated to be a bijection at construction time, so a transcription
 //! slip can only shift BER performance marginally, never break correctness.
 
-use fec_channel::sim::{DecodedFrame, FecCodec};
+use fec_channel::sim::{DecodedFrame, FecCodec, Registry};
 use fec_fixed::Llr;
 use std::fmt;
 use wimax_turbo::binary::{
@@ -604,16 +604,21 @@ impl FecCodec for LteTurboCodec {
             .expect("info length matches the code")
     }
 
-    fn decode(&self, llrs: &[Llr]) -> DecodedFrame {
-        let out = self
-            .decoder
-            .decode(llrs)
-            .expect("LLR length matches the codeword");
-        DecodedFrame {
-            info_bits: out.info_bits,
-            iterations: out.iterations,
-            converged: out.converged,
-        }
+    fn decode_frames(&self, frames: &[&[Llr]], _: Option<&mut Registry>) -> Vec<DecodedFrame> {
+        frames
+            .iter()
+            .map(|llrs| {
+                let out = self
+                    .decoder
+                    .decode(llrs)
+                    .expect("LLR length matches the codeword");
+                DecodedFrame {
+                    info_bits: out.info_bits,
+                    iterations: out.iterations,
+                    converged: out.converged,
+                }
+            })
+            .collect()
     }
 }
 

@@ -185,24 +185,8 @@ impl<C: FecCodec> FecCodec for NamedCodec<C> {
         self.inner.encode(info)
     }
 
-    fn decode(&self, llrs: &[Llr]) -> DecodedFrame {
-        self.inner.decode(llrs)
-    }
-
-    fn decode_batch(&self, frames: &[&[Llr]]) -> Vec<DecodedFrame> {
-        // Forward so a wrapped codec's lockstep batch override is not lost
-        // behind the loop-over-decode default.
-        self.inner.decode_batch(frames)
-    }
-
-    fn decode_observed(&self, llrs: &[Llr], obs: &mut Registry) -> DecodedFrame {
-        // Forward so a wrapped codec's instrumented datapath (fixed.*
-        // saturation counters) is not lost behind the generic default.
-        self.inner.decode_observed(llrs, obs)
-    }
-
-    fn decode_batch_observed(&self, frames: &[&[Llr]], obs: &mut Registry) -> Vec<DecodedFrame> {
-        self.inner.decode_batch_observed(frames, obs)
+    fn decode_frames(&self, frames: &[&[Llr]], obs: Option<&mut Registry>) -> Vec<DecodedFrame> {
+        self.inner.decode_frames(frames, obs)
     }
 }
 
@@ -505,6 +489,91 @@ mod tests {
                 .collect();
             let out = codec.decode(&llrs);
             assert_eq!(out.info_bits, info, "{}", codec.name());
+        }
+    }
+
+    /// Checks the one-decode-method contract through a [`NamedCodec`]:
+    /// `decode_batch` over three noisy frames equals three `decode` calls,
+    /// and observing the batch records the same Count metrics as observing
+    /// the frames one at a time.  Returns the batch's registry.
+    fn check_decode_frames<C: FecCodec>(inner: C, seed: u64) -> Registry {
+        use rand::{Rng, SeedableRng};
+        let codec = NamedCodec::new(inner, "wrapped");
+        let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+        let frames: Vec<Vec<Llr>> = (0..3)
+            .map(|_| {
+                let info: Vec<u8> = (0..codec.info_bits())
+                    .map(|_| rng.gen_range(0..=1))
+                    .collect();
+                codec
+                    .encode(&info)
+                    .iter()
+                    .map(|&b| Llr::new(2.0 * (1.0 - 2.0 * f64::from(b)) + rng.gen_range(-2.5..2.5)))
+                    .collect()
+            })
+            .collect();
+        let refs: Vec<&[Llr]> = frames.iter().map(Vec::as_slice).collect();
+        let one_by_one: Vec<DecodedFrame> = refs.iter().map(|f| codec.decode(f)).collect();
+        let inner_name = codec.inner.name();
+        assert_eq!(codec.decode_batch(&refs), one_by_one, "{inner_name}");
+
+        let mut batch_obs = Registry::new();
+        let observed = codec.decode_frames(&refs, Some(&mut batch_obs));
+        assert_eq!(
+            observed, one_by_one,
+            "{inner_name}: observing changed results"
+        );
+        let mut single_obs = Registry::new();
+        for frame in &refs {
+            let _ = codec.decode_frames(&[frame], Some(&mut single_obs));
+        }
+        assert_eq!(
+            batch_obs.render_counts(),
+            single_obs.render_counts(),
+            "{inner_name}"
+        );
+        batch_obs
+    }
+
+    #[test]
+    fn every_standard_codec_decodes_through_the_one_method_behind_named_codec() {
+        for standard in Standard::all() {
+            let corners = registry_for(standard).corner_codes();
+            for ldpc in [true, false] {
+                let smallest = corners
+                    .iter()
+                    .filter(|c| c.is_ldpc() == ldpc)
+                    .min_by_key(|c| c.info_bits());
+                match smallest {
+                    None => {}
+                    Some(StandardCode::Ldpc { code, .. }) => {
+                        check_decode_frames(
+                            LayeredLdpcCodec::new(code, LayeredConfig::default()),
+                            1,
+                        );
+                        let obs = check_decode_frames(
+                            QuantizedLayeredLdpcCodec::new(code, FixedLayeredConfig::default()),
+                            2,
+                        );
+                        // The wrapper forwards the registry to the datapath.
+                        assert_eq!(obs.counter("fixed.frames"), Some(3), "{standard:?}");
+                    }
+                    Some(
+                        StandardCode::WimaxTurbo { code } | StandardCode::DvbRcsTurbo { code },
+                    ) => {
+                        check_decode_frames(
+                            TurboCodec::new(code, TurboDecoderConfig::default()),
+                            3,
+                        );
+                    }
+                    Some(StandardCode::LteTurbo { code }) => {
+                        check_decode_frames(
+                            LteTurboCodec::new(code, LteTurboDecoderConfig::default()),
+                            4,
+                        );
+                    }
+                }
+            }
         }
     }
 

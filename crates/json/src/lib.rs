@@ -154,10 +154,12 @@ impl Json {
     /// # Errors
     ///
     /// Returns a [`ParseError`] describing the first offending byte offset.
+    /// Arrays and objects nested deeper than [`MAX_DEPTH`] are rejected, so
+    /// hostile input cannot overflow the stack of the recursive parser.
     pub fn parse(text: &str) -> Result<Json, ParseError> {
         let bytes = text.as_bytes();
         let mut pos = 0usize;
-        let value = parse_value(bytes, &mut pos)?;
+        let value = parse_value(bytes, &mut pos, 0)?;
         skip_ws(bytes, &mut pos);
         if pos != bytes.len() {
             return Err(ParseError {
@@ -203,6 +205,9 @@ impl Json {
     }
 }
 
+/// Deepest nesting of arrays and objects [`Json::parse`] accepts.
+pub const MAX_DEPTH: usize = 128;
+
 /// Error reported by [`Json::parse`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ParseError {
@@ -247,8 +252,15 @@ fn expect(
     }
 }
 
-fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Json, ParseError> {
+/// Parses one value that sits inside `depth` enclosing arrays/objects.
+fn parse_value(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Json, ParseError> {
     skip_ws(bytes, pos);
+    if depth == MAX_DEPTH && matches!(bytes.get(*pos), Some(b'[' | b'{')) {
+        return Err(ParseError {
+            offset: *pos,
+            message: "arrays/objects nested deeper than MAX_DEPTH",
+        });
+    }
     match bytes.get(*pos) {
         None => Err(ParseError {
             offset: *pos,
@@ -267,7 +279,7 @@ fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Json, ParseError> {
                 return Ok(Json::Arr(items));
             }
             loop {
-                items.push(parse_value(bytes, pos)?);
+                items.push(parse_value(bytes, pos, depth + 1)?);
                 skip_ws(bytes, pos);
                 match bytes.get(*pos) {
                     Some(b',') => *pos += 1,
@@ -297,7 +309,7 @@ fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Json, ParseError> {
                 let key = parse_string(bytes, pos)?;
                 skip_ws(bytes, pos);
                 expect(bytes, pos, b":", "expected ':' after object key")?;
-                let value = parse_value(bytes, pos)?;
+                let value = parse_value(bytes, pos, depth + 1)?;
                 pairs.push((key, value));
                 skip_ws(bytes, pos);
                 match bytes.get(*pos) {
@@ -618,6 +630,20 @@ mod tests {
         ] {
             let err = Json::parse(bad).unwrap_err();
             assert!(!err.to_string().is_empty(), "{bad:?}");
+        }
+    }
+
+    #[test]
+    fn parse_caps_nesting_depth() {
+        let arrays = |depth: usize| format!("{}{}", "[".repeat(depth), "]".repeat(depth));
+        let objects = |depth: usize| format!("{}1{}", "{\"k\":".repeat(depth), "}".repeat(depth));
+        for (doc, open_len) in [(&arrays as &dyn Fn(usize) -> String, 1), (&objects, 5)] {
+            assert!(Json::parse(&doc(MAX_DEPTH)).is_ok());
+            let err = Json::parse(&doc(MAX_DEPTH + 1)).unwrap_err();
+            assert_eq!(err.offset, open_len * MAX_DEPTH, "{err}");
+            assert!(err.message.contains("MAX_DEPTH"), "{err}");
+            // Far past the cap: an error, not a stack overflow.
+            assert!(Json::parse(&doc(200_000)).is_err());
         }
     }
 

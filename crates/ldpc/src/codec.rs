@@ -3,13 +3,23 @@
 
 use crate::code::QcLdpcCode;
 use crate::decoder::{
-    FixedLayeredConfig, FixedLayeredDecoder, FloodingConfig, FloodingDecoder, LayeredConfig,
-    LayeredDecoder,
+    DecodeOutcome, FixedLayeredConfig, FixedLayeredDecoder, FloodingConfig, FloodingDecoder,
+    FrameInput, LayeredConfig, LayeredDecoder,
 };
 use crate::encoder::QcEncoder;
-use fec_channel::sim::{record_decoded_frame, DecodedFrame, FecCodec};
+use fec_channel::sim::{DecodedFrame, FecCodec};
 use fec_fixed::Llr;
-use fec_obs::Registry;
+use fec_obs::{NoopRecorder, Registry};
+
+/// The engine-facing view of one decoder outcome: the first `k` hard
+/// decisions (the systematic information bits) plus the stop statistics.
+fn decoded_frame(out: DecodeOutcome, k: usize) -> DecodedFrame {
+    DecodedFrame {
+        info_bits: out.hard_bits[..k].to_vec(),
+        iterations: out.iterations,
+        converged: out.converged,
+    }
+}
 
 /// The layered normalized-min-sum decoder (the paper's hardware algorithm)
 /// behind the [`FecCodec`] interface.
@@ -52,36 +62,15 @@ impl FecCodec for LayeredLdpcCodec {
             .expect("info length matches the code")
     }
 
-    fn decode(&self, llrs: &[Llr]) -> DecodedFrame {
-        let out = self.decoder.decode(llrs);
-        DecodedFrame {
-            info_bits: out.hard_bits[..self.k].to_vec(),
-            iterations: out.iterations,
-            converged: out.converged,
-        }
-    }
-
     /// Lockstep f64 batch decode (see [`LayeredDecoder::decode_batch`]):
-    /// per-frame results are bit-identical to [`decode`](Self::decode), so
-    /// `--batch-frames` now gives a fair float-vs-fixed batch comparison.
-    fn decode_batch(&self, frames: &[&[Llr]]) -> Vec<DecodedFrame> {
+    /// per-frame results are bit-identical to decoding each frame alone, so
+    /// `--batch-frames` gives a fair float-vs-fixed batch comparison.
+    fn decode_frames(&self, frames: &[&[Llr]], _: Option<&mut Registry>) -> Vec<DecodedFrame> {
         self.decoder
             .decode_batch(frames)
             .into_iter()
-            .map(|out| DecodedFrame {
-                info_bits: out.hard_bits[..self.k].to_vec(),
-                iterations: out.iterations,
-                converged: out.converged,
-            })
+            .map(|out| decoded_frame(out, self.k))
             .collect()
-    }
-
-    fn decode_batch_observed(&self, frames: &[&[Llr]], obs: &mut Registry) -> Vec<DecodedFrame> {
-        let decoded = self.decode_batch(frames);
-        for frame in &decoded {
-            record_decoded_frame(obs, frame);
-        }
-        decoded
     }
 }
 
@@ -126,13 +115,11 @@ impl FecCodec for FloodingLdpcCodec {
             .expect("info length matches the code")
     }
 
-    fn decode(&self, llrs: &[Llr]) -> DecodedFrame {
-        let out = self.decoder.decode(llrs);
-        DecodedFrame {
-            info_bits: out.hard_bits[..self.k].to_vec(),
-            iterations: out.iterations,
-            converged: out.converged,
-        }
+    fn decode_frames(&self, frames: &[&[Llr]], _: Option<&mut Registry>) -> Vec<DecodedFrame> {
+        frames
+            .iter()
+            .map(|llrs| decoded_frame(self.decoder.decode(llrs), self.k))
+            .collect()
     }
 }
 
@@ -188,64 +175,22 @@ impl FecCodec for QuantizedLayeredLdpcCodec {
             .expect("info length matches the code")
     }
 
-    fn decode(&self, llrs: &[Llr]) -> DecodedFrame {
-        let out = self.decoder.decode(llrs);
-        DecodedFrame {
-            info_bits: out.hard_bits[..self.k].to_vec(),
-            iterations: out.iterations,
-            converged: out.converged,
-        }
-    }
-
-    fn decode_batch(&self, frames: &[&[Llr]]) -> Vec<DecodedFrame> {
-        // Lockstep struct-of-arrays decode over the shared CSR structure;
-        // bit-identical per frame to the serial `decode` (the engine's
-        // determinism contract), so overriding the loop-over-decode default
-        // changes throughput only.
-        self.decoder
-            .decode_batch(frames)
-            .into_iter()
-            .map(|out| DecodedFrame {
-                info_bits: out.hard_bits[..self.k].to_vec(),
-                iterations: out.iterations,
-                converged: out.converged,
-            })
-            .collect()
-    }
-
-    fn decode_observed(&self, llrs: &[Llr], obs: &mut Registry) -> DecodedFrame {
-        // Thread the registry through the fixed datapath so quantizer
-        // saturation and min-sum clip counters (`fixed.*`) land next to the
-        // generic `codec.*` family.  Results stay bit-identical to
-        // `decode`; the `fixed.*` Count metrics are per-frame functions, so
-        // the engine's determinism contract extends to them.
-        let out = self.decoder.decode_recorded(llrs, obs);
-        let frame = DecodedFrame {
-            info_bits: out.hard_bits[..self.k].to_vec(),
-            iterations: out.iterations,
-            converged: out.converged,
+    fn decode_frames(&self, frames: &[&[Llr]], obs: Option<&mut Registry>) -> Vec<DecodedFrame> {
+        // A batch of one runs the serial kernel, larger batches the
+        // lockstep struct-of-arrays kernel; both are bit-identical per
+        // frame.  Observed runs thread the registry through the datapath so
+        // quantizer saturation and min-sum clip counters (`fixed.*`) land
+        // next to the engine's `codec.*` family; the `fixed.*` Count
+        // metrics are per-frame functions, so the determinism contract
+        // extends to them.
+        let input = FrameInput::Llr(frames);
+        let outcomes = match obs {
+            Some(obs) => self.decoder.decode_into(input, obs),
+            None => self.decoder.decode_into(input, &mut NoopRecorder),
         };
-        record_decoded_frame(obs, &frame);
-        frame
-    }
-
-    fn decode_batch_observed(&self, frames: &[&[Llr]], obs: &mut Registry) -> Vec<DecodedFrame> {
-        // The lockstep datapath additionally reports Execution-class
-        // over-work metrics (`fixed.lane_iterations`,
-        // `fixed.batch_exec_iterations`); its Count-class metrics are
-        // gated on active lanes and therefore identical to serial decode.
-        self.decoder
-            .decode_batch_recorded(frames, obs)
+        outcomes
             .into_iter()
-            .map(|out| {
-                let frame = DecodedFrame {
-                    info_bits: out.hard_bits[..self.k].to_vec(),
-                    iterations: out.iterations,
-                    converged: out.converged,
-                };
-                record_decoded_frame(obs, &frame);
-                frame
-            })
+            .map(|out| decoded_frame(out, self.k))
             .collect()
     }
 }
@@ -330,15 +275,6 @@ mod tests {
         let batched = codec.decode_batch(&refs);
         let serial: Vec<DecodedFrame> = frames.iter().map(|f| codec.decode(f)).collect();
         assert_eq!(batched, serial);
-
-        // Count-class observability must be batch-invariant too.
-        let mut serial_obs = Registry::new();
-        for f in &frames {
-            let _ = codec.decode_observed(f, &mut serial_obs);
-        }
-        let mut batch_obs = Registry::new();
-        let _ = codec.decode_batch_observed(&refs, &mut batch_obs);
-        assert_eq!(batch_obs.render_counts(), serial_obs.render_counts());
     }
 
     #[test]
@@ -374,20 +310,20 @@ mod tests {
         let refs: Vec<&[Llr]> = frames.iter().map(|f| f.as_slice()).collect();
 
         let mut serial_obs = Registry::new();
-        let serial: Vec<DecodedFrame> = frames
+        let serial: Vec<DecodedFrame> = refs
             .iter()
-            .map(|f| codec.decode_observed(f, &mut serial_obs))
+            .flat_map(|f| codec.decode_frames(&[f], Some(&mut serial_obs)))
             .collect();
         let plain: Vec<DecodedFrame> = frames.iter().map(|f| codec.decode(f)).collect();
         assert_eq!(serial, plain, "observation must not change results");
 
         let mut batch_obs = Registry::new();
-        let batched = codec.decode_batch_observed(&refs, &mut batch_obs);
+        let batched = codec.decode_frames(&refs, Some(&mut batch_obs));
         assert_eq!(batched, plain);
         // Count-class metrics (fixed.* saturation counters included) are
         // active-lane gated in the lockstep path, so batch == serial.
         assert_eq!(batch_obs.render_counts(), serial_obs.render_counts());
-        assert_eq!(serial_obs.counter("codec.frames"), Some(5));
+        assert_eq!(serial_obs.counter("fixed.frames"), Some(5));
         assert!(serial_obs.get("fixed.iterations").is_some());
         // The lockstep path alone reports Execution-class over-work.
         assert!(batch_obs.get("fixed.lane_iterations").is_some());

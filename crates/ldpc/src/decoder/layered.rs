@@ -173,27 +173,35 @@ impl LayeredDecoder {
         }
     }
 
-    /// Decodes a batch of frames **in lockstep** over the shared CSR
-    /// structure: λ and the `R` messages live in struct-of-arrays buffers
-    /// (frame innermost, `lambda[v * batch + f]`), so every row update runs
-    /// over `batch` contiguous lanes — the floating-point counterpart of
-    /// the fixed-point decoder's batch datapath.
+    /// Decodes a batch of frames, one [`DecodeOutcome`] per frame in input
+    /// order.  A batch of one runs [`decode`](LayeredDecoder::decode);
+    /// larger batches run **in lockstep** over the shared CSR structure: λ
+    /// and the `R` messages live in struct-of-arrays buffers (frame
+    /// innermost, `lambda[v * batch + f]`), so every row update runs over
+    /// `batch` contiguous lanes — the floating-point counterpart of the
+    /// fixed-point decoder's batch datapath.
     ///
     /// Early termination is per-lane: a converged frame's λ and `R` lanes
     /// are frozen while the others keep iterating, so every lane's result
-    /// is **bit-identical** to decoding that frame alone with
-    /// [`decode`](LayeredDecoder::decode); once all lanes have converged
-    /// the iteration stops entirely.
+    /// is **bit-identical** to decoding that frame alone; once all lanes
+    /// have converged the iteration stops entirely.
     ///
     /// # Panics
     ///
     /// Panics if any frame's length differs from `code.n()`.
     pub fn decode_batch(&self, frames: &[&[Llr]]) -> Vec<DecodeOutcome> {
+        match frames {
+            [] => Vec::new(),
+            [frame] => vec![self.decode(frame)],
+            _ => self.decode_lanes(frames),
+        }
+    }
+
+    /// The lockstep iteration behind [`decode_batch`](Self::decode_batch),
+    /// for any non-empty batch.
+    fn decode_lanes(&self, frames: &[&[Llr]]) -> Vec<DecodeOutcome> {
         let n = self.code.n();
         let batch = frames.len();
-        if batch == 0 {
-            return Vec::new();
-        }
         let h = self.code.parity_check();
 
         // Transpose the frames into the [var][frame] SoA layout.
@@ -553,5 +561,10 @@ mod tests {
         assert!(dec.decode_batch(&[]).is_empty());
         let frame = vec![Llr::new(6.0); code.n()];
         assert_eq!(dec.decode_batch(&[&frame]), vec![dec.decode(&frame)]);
+        // The lockstep kernel itself at B=1 (decode_batch routes a batch of
+        // one to the serial kernel).
+        for frame in mixed_batch(&code) {
+            assert_outcomes_bit_identical(&dec.decode_lanes(&[&frame]), &[dec.decode(&frame)]);
+        }
     }
 }

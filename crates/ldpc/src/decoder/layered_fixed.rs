@@ -24,30 +24,22 @@ use fec_obs::{Class, NoopRecorder, Recorder};
 use std::cell::RefCell;
 
 thread_local! {
-    /// Per-thread default scratch: the convenience entry points
-    /// ([`FixedLayeredDecoder::decode`] and friends) borrow this so steady-
-    /// state decoding is allocation-free without forcing every caller to
-    /// carry a [`FixedScratch`].  Buffers only grow, so one thread decoding
-    /// the same code repeatedly never reallocates.
-    static SCRATCH: RefCell<FixedScratch> = RefCell::new(FixedScratch::new());
+    /// Per-thread scratch every decode borrows, so steady-state decoding is
+    /// allocation-free (aside from the returned [`DecodeOutcome`]s, which
+    /// own their results).  Buffers only grow, so one thread decoding the
+    /// same code repeatedly never reallocates.
+    static SCRATCH: RefCell<FixedScratch> = RefCell::new(FixedScratch::default());
 }
 
 /// Reusable working memory of the fixed-point decoder, for both the serial
 /// and the batch lockstep paths.
 ///
-/// The decoder's hot buffers (λ, the `R` message memory, the `Q_lk` row
-/// scratch, hard decisions, per-lane scan results) historically were
-/// reallocated on every `decode` call.  A `FixedScratch` owns them instead:
-/// pass one to the `*_with` entry points to make repeated decoding
-/// allocation-free in steady state (aside from the returned
-/// [`DecodeOutcome`]s, which own their results by contract).
-///
-/// In the batch path the buffers hold **struct-of-arrays** data, frame
-/// innermost: `lambda[v * batch + f]` is variable `v` of frame lane `f`,
+/// The buffers hold **struct-of-arrays** data, frame innermost:
+/// `lambda[v * batch + f]` is variable `v` of frame lane `f`,
 /// `r[e * batch + f]` edge `e` of lane `f` — so every message update runs
-/// over `batch` contiguous lanes.
-#[derive(Debug, Clone, Default)]
-pub struct FixedScratch {
+/// over `batch` contiguous lanes (a batch of one is the plain layout).
+#[derive(Debug, Default)]
+struct FixedScratch {
     /// λ registers, `[var][frame]`.
     lambda: Vec<i16>,
     /// `R_lk` message memory, `[edge][frame]`.
@@ -70,11 +62,22 @@ pub struct FixedScratch {
     converged: Vec<bool>,
 }
 
-impl FixedScratch {
-    /// An empty scratch; buffers grow on first use and are then reused.
-    pub fn new() -> Self {
-        FixedScratch::default()
-    }
+/// The channel frames one [`FixedLayeredDecoder::decode_into`] call
+/// decodes.
+#[derive(Debug, Clone, Copy)]
+pub enum FrameInput<'a> {
+    /// Floating-point channel LLRs, one slice of length `code.n()` per
+    /// frame; quantized by the decoder's λ quantizer.
+    Llr(&'a [&'a [Llr]]),
+    /// Already-quantized λ values in LSB units, `batch` frames back to back
+    /// (frame `f` occupies `frames[f * n .. (f + 1) * n]`).  Out-of-range
+    /// values are saturated to the register width.
+    Quantized {
+        /// The frames, frame-major.
+        frames: &'a [i16],
+        /// Number of frames in `frames`.
+        batch: usize,
+    },
 }
 
 /// Configuration of the fixed-point layered decoder.
@@ -205,298 +208,114 @@ impl FixedLayeredDecoder {
         &self.quantizer
     }
 
-    /// Quantizes floating-point channel LLRs and decodes (per-thread default
-    /// scratch; see [`FixedLayeredDecoder::decode_with`]).
+    /// Quantizes floating-point channel LLRs and decodes one frame.
     ///
     /// # Panics
     ///
     /// Panics if `channel.len() != code.n()`.
     pub fn decode(&self, channel: &[Llr]) -> DecodeOutcome {
-        SCRATCH.with(|s| self.decode_with(channel, &mut s.borrow_mut()))
+        self.decode_into(FrameInput::Llr(&[channel]), &mut NoopRecorder)
+            .pop()
+            .expect("one outcome per frame")
     }
 
-    /// Quantizes floating-point channel LLRs and decodes using the caller's
-    /// scratch buffers — allocation-free in steady state.
+    /// Decodes every frame of `input` and returns one [`DecodeOutcome`] per
+    /// frame, in input order, emitting frame/iteration/saturation count
+    /// metrics into `rec`.
     ///
-    /// # Panics
-    ///
-    /// Panics if `channel.len() != code.n()`.
-    pub fn decode_with(&self, channel: &[Llr], scratch: &mut FixedScratch) -> DecodeOutcome {
-        self.decode_with_recorded(channel, scratch, &mut NoopRecorder)
-    }
-
-    /// Instrumented form of [`decode`](FixedLayeredDecoder::decode): emits
-    /// frame/iteration/saturation count metrics into `rec` (per-thread
-    /// default scratch).
-    pub fn decode_recorded<R: Recorder>(&self, channel: &[Llr], rec: &mut R) -> DecodeOutcome {
-        SCRATCH.with(|s| self.decode_with_recorded(channel, &mut s.borrow_mut(), rec))
-    }
-
-    /// [`decode_recorded`](FixedLayeredDecoder::decode_recorded) with
-    /// caller-owned scratch buffers.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `channel.len() != code.n()`.
-    pub fn decode_with_recorded<R: Recorder>(
-        &self,
-        channel: &[Llr],
-        scratch: &mut FixedScratch,
-        rec: &mut R,
-    ) -> DecodeOutcome {
-        assert_eq!(
-            channel.len(),
-            self.code.n(),
-            "LLR vector length must equal the code length"
-        );
-        let mut quant = QuantStats::default();
-        scratch.lambda.clear();
-        scratch.lambda.extend(channel.iter().map(|l| {
-            let q = if R::ENABLED {
-                self.quantizer.quantize_tracked(l.value(), &mut quant)
-            } else {
-                self.quantizer.quantize(l.value())
-            };
-            // fec-lint: allow(fixed-narrowing-cast, quantizer output is a SatFixed already clamped to the lambda register range, which new() bounds to 15 bits)
-            q.value() as i16
-        }));
-        if R::ENABLED {
-            rec.incr(Class::Count, "fixed.sat_quantize", quant.saturated);
-            rec.incr(Class::Count, "fixed.quantized_llrs", quant.total);
-        }
-        self.decode_lambda(scratch, rec)
-    }
-
-    /// Decodes already-quantized channel LLRs (integer λ values in LSB
-    /// units).  Out-of-range inputs are saturated to the register width.
-    /// Uses the per-thread default scratch; see
-    /// [`FixedLayeredDecoder::decode_quantized_with`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `quantized.len() != code.n()`.
-    pub fn decode_quantized(&self, quantized: &[i16]) -> DecodeOutcome {
-        SCRATCH.with(|s| self.decode_quantized_with(quantized, &mut s.borrow_mut()))
-    }
-
-    /// [`decode_quantized`](FixedLayeredDecoder::decode_quantized) with
-    /// caller-owned scratch buffers — allocation-free in steady state.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `quantized.len() != code.n()`.
-    pub fn decode_quantized_with(
-        &self,
-        quantized: &[i16],
-        scratch: &mut FixedScratch,
-    ) -> DecodeOutcome {
-        self.decode_quantized_with_recorded(quantized, scratch, &mut NoopRecorder)
-    }
-
-    /// Instrumented form of
-    /// [`decode_quantized`](FixedLayeredDecoder::decode_quantized) (per-thread
-    /// default scratch).
-    pub fn decode_quantized_recorded<R: Recorder>(
-        &self,
-        quantized: &[i16],
-        rec: &mut R,
-    ) -> DecodeOutcome {
-        SCRATCH.with(|s| self.decode_quantized_with_recorded(quantized, &mut s.borrow_mut(), rec))
-    }
-
-    /// [`decode_quantized_recorded`](FixedLayeredDecoder::decode_quantized_recorded)
-    /// with caller-owned scratch buffers.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `quantized.len() != code.n()`.
-    pub fn decode_quantized_with_recorded<R: Recorder>(
-        &self,
-        quantized: &[i16],
-        scratch: &mut FixedScratch,
-        rec: &mut R,
-    ) -> DecodeOutcome {
-        assert_eq!(
-            quantized.len(),
-            self.code.n(),
-            "LLR vector length must equal the code length"
-        );
-        // fec-lint: allow(fixed-narrowing-cast, lambda register bounds fit i16 because MinSumArith::new rejects lambda_bits > 15)
-        let lo = self.arith.lambda_min() as i16;
-        // fec-lint: allow(fixed-narrowing-cast, lambda register bounds fit i16 because MinSumArith::new rejects lambda_bits > 15)
-        let hi = self.arith.lambda_max() as i16;
-        scratch.lambda.clear();
-        scratch
-            .lambda
-            .extend(quantized.iter().map(|&v| v.clamp(lo, hi)));
-        self.decode_lambda(scratch, rec)
-    }
-
-    /// Decodes a batch of frames in lockstep (per-thread default scratch;
-    /// see [`FixedLayeredDecoder::decode_batch_with`]).
-    ///
-    /// # Panics
-    ///
-    /// Panics if any frame's length differs from `code.n()`.
-    pub fn decode_batch(&self, frames: &[&[Llr]]) -> Vec<DecodeOutcome> {
-        SCRATCH.with(|s| self.decode_batch_with(frames, &mut s.borrow_mut()))
-    }
-
-    /// Quantizes `frames.len()` frames of channel LLRs and decodes them **in
+    /// A batch of one runs the serial iteration; larger batches run **in
     /// lockstep** over the shared CSR structure: λ and `R` live in
     /// struct-of-arrays buffers (frame innermost), so the two-minimum scan
     /// and every saturating message update run over `B` contiguous lanes.
-    /// Per-frame results are bit-identical to decoding each frame alone.
+    /// Either way each frame's result is bit-identical to decoding it alone,
+    /// and so are the Count-class metrics; the lockstep path additionally
+    /// reports Execution-class over-work (per-lane iteration histogram and
+    /// over-work counters).
     ///
     /// # Panics
     ///
-    /// Panics if any frame's length differs from `code.n()`.
-    pub fn decode_batch_with(
+    /// Panics if a frame's length differs from `code.n()`, or if a
+    /// [`FrameInput::Quantized`] input has `batch == 0` or does not hold
+    /// exactly `batch * code.n()` values.
+    pub fn decode_into<R: Recorder>(
         &self,
-        frames: &[&[Llr]],
-        scratch: &mut FixedScratch,
-    ) -> Vec<DecodeOutcome> {
-        self.decode_batch_with_recorded(frames, scratch, &mut NoopRecorder)
-    }
-
-    /// Instrumented form of
-    /// [`decode_batch`](FixedLayeredDecoder::decode_batch): emits the same
-    /// count metrics as the serial recorded path (bit-identical at any batch
-    /// size) plus lockstep execution metrics — per-lane iteration histogram
-    /// and over-work counters (per-thread default scratch).
-    pub fn decode_batch_recorded<R: Recorder>(
-        &self,
-        frames: &[&[Llr]],
-        rec: &mut R,
-    ) -> Vec<DecodeOutcome> {
-        SCRATCH.with(|s| self.decode_batch_with_recorded(frames, &mut s.borrow_mut(), rec))
-    }
-
-    /// [`decode_batch_recorded`](FixedLayeredDecoder::decode_batch_recorded)
-    /// with caller-owned scratch buffers.
-    ///
-    /// # Panics
-    ///
-    /// Panics if any frame's length differs from `code.n()`.
-    pub fn decode_batch_with_recorded<R: Recorder>(
-        &self,
-        frames: &[&[Llr]],
-        scratch: &mut FixedScratch,
-        rec: &mut R,
-    ) -> Vec<DecodeOutcome> {
-        let n = self.code.n();
-        let batch = frames.len();
-        if batch == 0 {
-            return Vec::new();
-        }
-        let mut quant = QuantStats::default();
-        scratch.lambda.clear();
-        scratch.lambda.resize(n * batch, 0);
-        for (f, frame) in frames.iter().enumerate() {
-            assert_eq!(
-                frame.len(),
-                n,
-                "LLR vector length must equal the code length"
-            );
-            for (v, l) in frame.iter().enumerate() {
-                let q = if R::ENABLED {
-                    self.quantizer.quantize_tracked(l.value(), &mut quant)
-                } else {
-                    self.quantizer.quantize(l.value())
-                };
-                // fec-lint: allow(fixed-narrowing-cast, quantizer output is a SatFixed already clamped to the lambda register range, which new() bounds to 15 bits)
-                scratch.lambda[v * batch + f] = q.value() as i16;
-            }
-        }
-        if R::ENABLED {
-            rec.incr(Class::Count, "fixed.sat_quantize", quant.saturated);
-            rec.incr(Class::Count, "fixed.quantized_llrs", quant.total);
-        }
-        self.decode_lanes(batch, scratch, rec)
-    }
-
-    /// Decodes `batch` already-quantized frames in lockstep.  `quantized`
-    /// holds the frames back to back (frame-major: frame `f` occupies
-    /// `quantized[f * n .. (f + 1) * n]`); out-of-range λ values are
-    /// saturated like in
-    /// [`decode_quantized`](FixedLayeredDecoder::decode_quantized).  Returns
-    /// one [`DecodeOutcome`] per frame, in input order, each bit-identical
-    /// to the serial `decode_quantized` result for that frame.
-    ///
-    /// Uses the per-thread default scratch; see
-    /// [`FixedLayeredDecoder::decode_batch_quantized_with`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `batch == 0` or `quantized.len() != batch * code.n()`.
-    pub fn decode_batch_quantized(&self, quantized: &[i16], batch: usize) -> Vec<DecodeOutcome> {
-        SCRATCH.with(|s| self.decode_batch_quantized_with(quantized, batch, &mut s.borrow_mut()))
-    }
-
-    /// [`decode_batch_quantized`](FixedLayeredDecoder::decode_batch_quantized)
-    /// with caller-owned scratch buffers — allocation-free in steady state
-    /// (aside from the returned outcomes).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `batch == 0` or `quantized.len() != batch * code.n()`.
-    pub fn decode_batch_quantized_with(
-        &self,
-        quantized: &[i16],
-        batch: usize,
-        scratch: &mut FixedScratch,
-    ) -> Vec<DecodeOutcome> {
-        self.decode_batch_quantized_with_recorded(quantized, batch, scratch, &mut NoopRecorder)
-    }
-
-    /// Instrumented form of
-    /// [`decode_batch_quantized`](FixedLayeredDecoder::decode_batch_quantized)
-    /// (per-thread default scratch).
-    pub fn decode_batch_quantized_recorded<R: Recorder>(
-        &self,
-        quantized: &[i16],
-        batch: usize,
+        input: FrameInput<'_>,
         rec: &mut R,
     ) -> Vec<DecodeOutcome> {
         SCRATCH.with(|s| {
-            self.decode_batch_quantized_with_recorded(quantized, batch, &mut s.borrow_mut(), rec)
+            let scratch = &mut *s.borrow_mut();
+            match self.load_lambda(input, scratch, rec) {
+                0 => Vec::new(),
+                1 => vec![self.decode_lambda(scratch, rec)],
+                batch => self.decode_lanes(batch, scratch, rec),
+            }
         })
     }
 
-    /// [`decode_batch_quantized_recorded`](FixedLayeredDecoder::decode_batch_quantized_recorded)
-    /// with caller-owned scratch buffers.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `batch == 0` or `quantized.len() != batch * code.n()`.
-    pub fn decode_batch_quantized_with_recorded<R: Recorder>(
+    /// Quantizes or clamps `input` into the `[var][frame]` λ buffer of
+    /// `scratch` and returns the batch size.
+    fn load_lambda<R: Recorder>(
         &self,
-        quantized: &[i16],
-        batch: usize,
+        input: FrameInput<'_>,
         scratch: &mut FixedScratch,
         rec: &mut R,
-    ) -> Vec<DecodeOutcome> {
+    ) -> usize {
         let n = self.code.n();
-        assert!(batch > 0, "batch must hold at least one frame");
-        assert_eq!(
-            quantized.len(),
-            batch * n,
-            "quantized input must hold exactly batch * n LLR values"
-        );
-        // fec-lint: allow(fixed-narrowing-cast, lambda register bounds fit i16 because MinSumArith::new rejects lambda_bits > 15)
-        let lo = self.arith.lambda_min() as i16;
-        // fec-lint: allow(fixed-narrowing-cast, lambda register bounds fit i16 because MinSumArith::new rejects lambda_bits > 15)
-        let hi = self.arith.lambda_max() as i16;
-        // Transpose the frame-major input into the [var][frame] SoA layout.
-        scratch.lambda.clear();
-        scratch.lambda.resize(n * batch, 0);
-        for f in 0..batch {
-            let frame = &quantized[f * n..(f + 1) * n];
-            for (v, &value) in frame.iter().enumerate() {
-                scratch.lambda[v * batch + f] = value.clamp(lo, hi);
+        let batch = match input {
+            FrameInput::Llr(frames) => frames.len(),
+            FrameInput::Quantized { frames, batch } => {
+                assert!(batch > 0, "batch must hold at least one frame");
+                assert_eq!(
+                    frames.len(),
+                    batch * n,
+                    "quantized input must hold exactly batch * n LLR values"
+                );
+                batch
+            }
+        };
+        if batch == 0 {
+            return 0;
+        }
+        let lambda = &mut scratch.lambda;
+        lambda.clear();
+        lambda.resize(n * batch, 0);
+        match input {
+            FrameInput::Llr(frames) => {
+                let mut quant = QuantStats::default();
+                for (f, frame) in frames.iter().enumerate() {
+                    assert_eq!(
+                        frame.len(),
+                        n,
+                        "LLR vector length must equal the code length"
+                    );
+                    for (v, l) in frame.iter().enumerate() {
+                        let q = if R::ENABLED {
+                            self.quantizer.quantize_tracked(l.value(), &mut quant)
+                        } else {
+                            self.quantizer.quantize(l.value())
+                        };
+                        // fec-lint: allow(fixed-narrowing-cast, quantizer output is a SatFixed already clamped to the lambda register range, which new() bounds to 15 bits)
+                        lambda[v * batch + f] = q.value() as i16;
+                    }
+                }
+                if R::ENABLED {
+                    rec.incr(Class::Count, "fixed.sat_quantize", quant.saturated);
+                    rec.incr(Class::Count, "fixed.quantized_llrs", quant.total);
+                }
+            }
+            FrameInput::Quantized { frames, .. } => {
+                // fec-lint: allow(fixed-narrowing-cast, lambda register bounds fit i16 because MinSumArith::new rejects lambda_bits > 15)
+                let lo = self.arith.lambda_min() as i16;
+                // fec-lint: allow(fixed-narrowing-cast, lambda register bounds fit i16 because MinSumArith::new rejects lambda_bits > 15)
+                let hi = self.arith.lambda_max() as i16;
+                for (f, frame) in frames.chunks_exact(n).enumerate() {
+                    for (v, &value) in frame.iter().enumerate() {
+                        lambda[v * batch + f] = value.clamp(lo, hi);
+                    }
+                }
             }
         }
-        self.decode_lanes(batch, scratch, rec)
+        batch
     }
 
     /// Per-frame count metrics shared by the serial and lockstep paths.
@@ -873,6 +692,28 @@ mod tests {
     use proptest::prelude::*;
     use rand::{Rng, SeedableRng};
 
+    /// Decodes one already-quantized frame (the serial kernel).
+    fn serial(dec: &FixedLayeredDecoder, frame: &[i16]) -> DecodeOutcome {
+        let input = FrameInput::Quantized {
+            frames: frame,
+            batch: 1,
+        };
+        dec.decode_into(input, &mut NoopRecorder).pop().unwrap()
+    }
+
+    /// Decodes `batch` quantized frames through `decode_into`.
+    fn batch_of(dec: &FixedLayeredDecoder, frames: &[i16], batch: usize) -> Vec<DecodeOutcome> {
+        dec.decode_into(FrameInput::Quantized { frames, batch }, &mut NoopRecorder)
+    }
+
+    /// The lockstep kernel at any batch size, including the batch of one
+    /// that `decode_into` hands to the serial kernel.
+    fn lockstep(dec: &FixedLayeredDecoder, input: FrameInput<'_>) -> Vec<DecodeOutcome> {
+        let mut scratch = FixedScratch::default();
+        let batch = dec.load_lambda(input, &mut scratch, &mut NoopRecorder);
+        dec.decode_lanes(batch, &mut scratch, &mut NoopRecorder)
+    }
+
     fn noisy_llrs(cw: &[u8], sigma: f64, seed: u64) -> Vec<Llr> {
         let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
         cw.iter()
@@ -975,7 +816,7 @@ mod tests {
         let code = QcLdpcCode::wimax(576, CodeRate::R12).unwrap();
         let dec = FixedLayeredDecoder::new(&code, FixedLayeredConfig::default());
         // +1000 saturates to +63: still a confident zero bit.
-        let out = dec.decode_quantized(&vec![1000i16; code.n()]);
+        let out = serial(&dec, &vec![1000i16; code.n()]);
         assert!(out.converged);
         assert!(out.hard_bits.iter().all(|&b| b == 0));
         assert!(out.posterior.iter().all(|&p| p == 31.5)); // 63 / 2^1
@@ -1041,11 +882,12 @@ mod tests {
             let q: Vec<i16> = (0..batch * n)
                 .map(|_| rng.gen_range(-300i16..=300))
                 .collect();
-            let batched = dec.decode_batch_quantized(&q, batch);
+            let batched = lockstep(&dec, FrameInput::Quantized { frames: &q, batch });
             assert_eq!(batched.len(), batch);
+            assert_eq!(batch_of(&dec, &q, batch), batched);
             for f in 0..batch {
-                let serial = dec.decode_quantized(&q[f * n..(f + 1) * n]);
-                assert_eq!(batched[f], serial, "lane {f} of batch {batch}");
+                let alone = serial(&dec, &q[f * n..(f + 1) * n]);
+                assert_eq!(batched[f], alone, "lane {f} of batch {batch}");
             }
         }
     }
@@ -1069,7 +911,7 @@ mod tests {
             })
             .collect();
         let refs: Vec<&[Llr]> = frames.iter().map(|f| f.as_slice()).collect();
-        let batched = dec.decode_batch(&refs);
+        let batched = dec.decode_into(FrameInput::Llr(&refs), &mut NoopRecorder);
         let serial: Vec<DecodeOutcome> = frames.iter().map(|f| dec.decode(f)).collect();
         assert_eq!(batched, serial);
         let iters: Vec<usize> = serial.iter().map(|o| o.iterations).collect();
@@ -1095,9 +937,11 @@ mod tests {
             })
             .collect();
         let refs: Vec<&[Llr]> = frames.iter().map(|f| f.as_slice()).collect();
-        let batched = dec.decode_batch(&refs);
+        let batched = dec.decode_into(FrameInput::Llr(&refs), &mut NoopRecorder);
         for (f, frame) in frames.iter().enumerate() {
             assert_eq!(batched[f], dec.decode(frame), "lane {f}");
+            let lane = lockstep(&dec, FrameInput::Llr(&refs[f..=f]));
+            assert_eq!(lane, [dec.decode(frame)], "lockstep B=1, frame {f}");
         }
     }
 
@@ -1105,7 +949,9 @@ mod tests {
     fn empty_batch_decodes_to_no_outcomes() {
         let code = QcLdpcCode::wimax(576, CodeRate::R12).unwrap();
         let dec = FixedLayeredDecoder::new(&code, FixedLayeredConfig::default());
-        assert!(dec.decode_batch(&[]).is_empty());
+        assert!(dec
+            .decode_into(FrameInput::Llr(&[]), &mut NoopRecorder)
+            .is_empty());
     }
 
     #[test]
@@ -1113,7 +959,7 @@ mod tests {
     fn zero_batch_of_quantized_frames_panics() {
         let code = QcLdpcCode::wimax(576, CodeRate::R12).unwrap();
         let dec = FixedLayeredDecoder::new(&code, FixedLayeredConfig::default());
-        let _ = dec.decode_batch_quantized(&[], 0);
+        let _ = batch_of(&dec, &[], 0);
     }
 
     #[test]
@@ -1121,28 +967,29 @@ mod tests {
     fn ragged_quantized_batch_panics() {
         let code = QcLdpcCode::wimax(576, CodeRate::R12).unwrap();
         let dec = FixedLayeredDecoder::new(&code, FixedLayeredConfig::default());
-        let _ = dec.decode_batch_quantized(&vec![0i16; code.n() + 1], 1);
+        let _ = batch_of(&dec, &vec![0i16; code.n() + 1], 1);
     }
 
     #[test]
     fn scratch_reuse_across_calls_is_harmless() {
-        // One scratch driven through serial and batch entry points in
-        // alternation must not leak state between calls.
+        // The thread's scratch driven through the serial and the lockstep
+        // kernels in alternation must not leak state between calls.
         let code = QcLdpcCode::wimax(576, CodeRate::R12).unwrap();
         let dec = FixedLayeredDecoder::new(&code, FixedLayeredConfig::default());
         let n = code.n();
         let mut rng = rand::rngs::StdRng::seed_from_u64(8);
         let q: Vec<i16> = (0..3 * n).map(|_| rng.gen_range(-100i16..=100)).collect();
-        let mut scratch = FixedScratch::new();
-        let expected: Vec<DecodeOutcome> = (0..3)
-            .map(|f| dec.decode_quantized(&q[f * n..(f + 1) * n]))
-            .collect();
-        let serial_reused = dec.decode_quantized_with(&q[..n], &mut scratch);
-        assert_eq!(serial_reused, expected[0]);
-        let batched = dec.decode_batch_quantized_with(&q, 3, &mut scratch);
-        assert_eq!(batched, expected);
-        let serial_again = dec.decode_quantized_with(&q[2 * n..], &mut scratch);
-        assert_eq!(serial_again, expected[2]);
+        // A fresh scratch gives the reference.
+        let expected = lockstep(
+            &dec,
+            FrameInput::Quantized {
+                frames: &q,
+                batch: 3,
+            },
+        );
+        assert_eq!(serial(&dec, &q[..n]), expected[0]);
+        assert_eq!(batch_of(&dec, &q, 3), expected);
+        assert_eq!(serial(&dec, &q[2 * n..]), expected[2]);
     }
 
     proptest! {
@@ -1156,10 +1003,10 @@ mod tests {
             let dec = FixedLayeredDecoder::new(&code, FixedLayeredConfig::default());
             let batch = frames.len();
             let flat: Vec<i16> = frames.concat();
-            let batched = dec.decode_batch_quantized(&flat, batch);
+            let batched = lockstep(&dec, FrameInput::Quantized { frames: &flat, batch });
             for (f, frame) in frames.iter().enumerate() {
-                let serial = dec.decode_quantized(frame);
-                prop_assert!(batched[f] == serial, "lane {} of batch {} diverged", f, batch);
+                let alone = serial(&dec, frame);
+                prop_assert!(batched[f] == alone, "lane {} of batch {} diverged", f, batch);
             }
         }
     }

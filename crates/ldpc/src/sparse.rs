@@ -102,9 +102,17 @@ impl SparseBinaryMatrix {
     }
 
     /// Returns `true` if `H * v = 0`, i.e. `v` is a codeword of the code with
-    /// this parity-check matrix.
+    /// this parity-check matrix.  Allocation-free (decoders call it every
+    /// iteration) and stops at the first unsatisfied check.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `v.len() != num_cols()`.
     pub fn is_codeword(&self, v: &[u8]) -> bool {
-        self.multiply_vector(v).iter().all(|&s| s == 0)
+        assert_eq!(v.len(), self.cols, "vector length must equal column count");
+        self.rows
+            .iter()
+            .all(|row| row.iter().fold(0u8, |acc, &c| acc ^ (v[c] & 1)) == 0)
     }
 
     /// Computes the rank of the matrix over GF(2) (dense elimination on

@@ -202,6 +202,26 @@ fn bad_requests_get_error_or_rejected_replies() {
     assert!(lines[3].contains("unknown job id 99"));
 }
 
+/// A request line of 200k `[` then 200k `]` once overflowed the recursive
+/// JSON parser's stack and aborted the daemon.  It must get an `error`
+/// reply, and the service must go on to accept the next valid submit.
+#[test]
+fn deeply_nested_request_is_an_error_not_an_abort() {
+    let svc = service("deepnest", 1, 8);
+    let sink = RecordingSink::default();
+    let hostile = format!("{}{}", "[".repeat(200_000), "]".repeat(200_000));
+    assert!(svc.handle_line(&hostile, &sink));
+    assert!(svc.handle_line(SMALL_BER, &sink));
+    svc.drain();
+
+    let lines = sink.lines();
+    assert_eq!(event_type(&lines[0]), "error");
+    assert!(lines[0].contains("malformed request"), "{}", lines[0]);
+    assert_eq!(event_type(&lines[1]), "accepted");
+    assert_eq!(rows_of(&lines).len(), 2);
+    assert_eq!(done_status(&lines, 1).as_deref(), Some("completed"));
+}
+
 /// Acceptance: a cancelled job's delivered rows are bit-identical to the
 /// same rows of an uncancelled run, at any worker count.  Each Eb/N0 point
 /// is an independent unit with RNG keyed on `(seed, shard, ebn0_db)`, so a

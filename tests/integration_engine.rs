@@ -4,7 +4,7 @@
 //! BER entry point.
 
 use fec_channel::sim::{EngineConfig, FecCodec, SimulationEngine};
-use fec_channel::MonteCarloConfig;
+use fec_channel::StopRule;
 use noc_decoder::{DecoderConfig, NocDecoder};
 use wimax_ldpc::decoder::{FixedLayeredConfig, LayeredConfig};
 use wimax_ldpc::{CodeRate, LayeredLdpcCodec, QcLdpcCode, QuantizedLayeredLdpcCodec};
@@ -31,13 +31,13 @@ fn turbo_codec() -> TurboCodec {
     )
 }
 
-fn engine(workers: usize, stop: MonteCarloConfig) -> SimulationEngine {
+fn engine(workers: usize, stop_rule: StopRule) -> SimulationEngine {
     SimulationEngine::new(
         EngineConfig {
             shards: 16,
             frames_per_shard_round: 2,
             seed: 2012,
-            stop,
+            stop_rule,
             ..EngineConfig::default()
         }
         .with_workers(workers),
@@ -49,7 +49,7 @@ fn engine(workers: usize, stop: MonteCarloConfig) -> SimulationEngine {
 #[test]
 fn ldpc_counts_are_identical_for_1_2_and_8_workers() {
     let codec = ldpc_codec();
-    let stop = MonteCarloConfig {
+    let stop = StopRule::FixedBudget {
         max_frames: 60,
         target_frame_errors: 10,
         min_frames: 20,
@@ -66,7 +66,7 @@ fn ldpc_counts_are_identical_for_1_2_and_8_workers() {
 #[test]
 fn quantized_ldpc_counts_are_identical_for_1_2_and_8_workers() {
     let codec = quantized_ldpc_codec();
-    let stop = MonteCarloConfig {
+    let stop = StopRule::FixedBudget {
         max_frames: 60,
         target_frame_errors: 10,
         min_frames: 20,
@@ -86,7 +86,7 @@ fn quantized_ldpc_counts_are_identical_for_1_2_and_8_workers() {
 #[test]
 fn quantized_ldpc_counts_are_identical_for_any_worker_and_batch_size() {
     let codec = quantized_ldpc_codec();
-    let stop = MonteCarloConfig {
+    let stop = StopRule::FixedBudget {
         max_frames: 60,
         target_frame_errors: 10,
         min_frames: 20,
@@ -99,7 +99,7 @@ fn quantized_ldpc_counts_are_identical_for_any_worker_and_batch_size() {
                     shards: 16,
                     frames_per_shard_round: 2,
                     seed: 2012,
-                    stop,
+                    stop_rule: stop,
                     ..EngineConfig::default()
                 }
                 .with_workers(workers)
@@ -169,7 +169,7 @@ fn adaptive_curve_with_global_cap_is_identical_for_1_2_and_8_workers() {
 #[test]
 fn turbo_counts_are_identical_for_1_2_and_8_workers() {
     let codec = turbo_codec();
-    let stop = MonteCarloConfig {
+    let stop = StopRule::FixedBudget {
         max_frames: 40,
         target_frame_errors: 8,
         min_frames: 10,
@@ -187,7 +187,7 @@ fn turbo_counts_are_identical_for_1_2_and_8_workers() {
 #[test]
 fn ldpc_curve_counts_are_identical_for_1_2_and_8_workers() {
     let codec = ldpc_codec();
-    let stop = MonteCarloConfig {
+    let stop = StopRule::FixedBudget {
         max_frames: 48,
         target_frame_errors: 8,
         min_frames: 16,
@@ -206,7 +206,7 @@ fn ldpc_curve_counts_are_identical_for_1_2_and_8_workers() {
 #[test]
 fn pooled_curve_matches_point_at_a_time_runs() {
     let codec = ldpc_codec();
-    let stop = MonteCarloConfig {
+    let stop = StopRule::FixedBudget {
         max_frames: 40,
         target_frame_errors: 6,
         min_frames: 10,
@@ -223,7 +223,7 @@ fn pooled_curve_matches_point_at_a_time_runs() {
 #[test]
 fn early_stopping_respects_min_frames_with_a_real_codec() {
     let codec = ldpc_codec();
-    let stop = MonteCarloConfig {
+    let stop = StopRule::FixedBudget {
         max_frames: 5_000,
         target_frame_errors: 1,
         min_frames: 48,

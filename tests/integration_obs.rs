@@ -1,30 +1,42 @@
 //! Integration tests of the fec-obs observability layer: the determinism
 //! contract of Count-class metrics (byte-identical `render_counts()` for
 //! any worker count × decode batch size with the real fixed-point WiMAX
-//! codec in the loop) and the zero-cost contract of [`NoopRecorder`] (the
-//! instrumented decode entry point allocates exactly as much as the plain
-//! one when the recorder is disabled).
+//! codec in the loop) and the zero-cost contract of [`NoopRecorder`] (a
+//! steady-state decode with the recorder disabled allocates nothing beyond
+//! the outcomes it returns).
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::cell::Cell;
 
 use fec_channel::sim::{EngineConfig, SimulationEngine};
-use fec_channel::MonteCarloConfig;
+use fec_channel::StopRule;
 use fec_obs::{ManualClock, NoopRecorder, Registry};
-use wimax_ldpc::decoder::{FixedLayeredConfig, FixedLayeredDecoder};
+use wimax_ldpc::decoder::{DecodeOutcome, FixedLayeredConfig, FixedLayeredDecoder, FrameInput};
 use wimax_ldpc::{CodeRate, QcLdpcCode, QuantizedLayeredLdpcCodec};
 
-/// Counts every heap allocation the process makes, so a test can compare
-/// the allocation cost of two code paths.
+/// Counts the heap allocations (and bytes) made on a thread while that
+/// thread has switched counting on, so tests running on other threads of
+/// the same process never leak into a measurement.
 struct CountingAllocator;
 
-static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    /// Whether allocations on this thread are being counted.
+    static COUNTING: Cell<bool> = const { Cell::new(false) };
+    /// `(allocations, bytes)` counted on this thread.
+    static COUNTED: Cell<(u64, u64)> = const { Cell::new((0, 0)) };
+}
 
-// SAFETY: delegates verbatim to the system allocator; the counter is a
-// relaxed atomic with no effect on allocation behaviour.
+// SAFETY: delegates verbatim to the system allocator.  The bookkeeping
+// touches only const-initialised thread-locals without destructors, which
+// never allocate, and `try_with` tolerates access during thread teardown.
 unsafe impl GlobalAlloc for CountingAllocator {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        if COUNTING.try_with(Cell::get).unwrap_or(false) {
+            let _ = COUNTED.try_with(|c| {
+                let (n, bytes) = c.get();
+                c.set((n + 1, bytes + layout.size() as u64));
+            });
+        }
         System.alloc(layout)
     }
 
@@ -36,10 +48,13 @@ unsafe impl GlobalAlloc for CountingAllocator {
 #[global_allocator]
 static GLOBAL: CountingAllocator = CountingAllocator;
 
-fn allocations<T>(f: impl FnOnce() -> T) -> (u64, T) {
-    let before = ALLOCATIONS.load(Ordering::Relaxed);
+/// Runs `f` and returns the `(allocations, bytes)` it made on this thread.
+fn allocations<T>(f: impl FnOnce() -> T) -> ((u64, u64), T) {
+    COUNTED.with(|c| c.set((0, 0)));
+    COUNTING.with(|on| on.set(true));
     let value = f();
-    (ALLOCATIONS.load(Ordering::Relaxed) - before, value)
+    COUNTING.with(|on| on.set(false));
+    (COUNTED.with(Cell::get), value)
 }
 
 fn quantized_codec() -> QuantizedLayeredLdpcCodec {
@@ -53,7 +68,7 @@ fn observed_engine(workers: usize, batch: usize) -> SimulationEngine {
             shards: 16,
             frames_per_shard_round: 2,
             seed: 2012,
-            stop: MonteCarloConfig {
+            stop_rule: StopRule::FixedBudget {
                 max_frames: 60,
                 target_frame_errors: 10,
                 min_frames: 20,
@@ -103,32 +118,40 @@ fn observed_counts_are_byte_identical_for_any_worker_and_batch_size() {
     }
 }
 
-/// The zero-cost contract of [`NoopRecorder`]: the recorded decode entry
-/// point makes exactly as many heap allocations as the plain one, because
-/// every instrumentation site is gated on the recorder's `const ENABLED`
-/// and folds away.  Measured at steady state (after a warm-up decode) so
-/// one-time lazy initialisation does not skew either side.
+/// The zero-cost contract of [`NoopRecorder`]: a steady-state decode of one
+/// frame through `decode_into` makes exactly the allocations its returned
+/// outcome owns — the result vector, the hard decisions and the posterior
+/// — because every instrumentation site is gated on the recorder's
+/// `const ENABLED` and folds away, and the working buffers live in the
+/// thread's reused scratch.  Measured after a warm-up decode so one-time
+/// lazy initialisation does not count.
 #[test]
 fn noop_recorder_adds_zero_allocations_to_decode_quantized() {
     let code = QcLdpcCode::wimax(576, CodeRate::R12).expect("valid WiMAX length");
     let decoder = FixedLayeredDecoder::new(&code, FixedLayeredConfig::default());
-    // An all-zeros frame quantizes to weak LLRs and decodes without
-    // converging instantly, so the decode loop actually runs.
-    let quantized = vec![1i16; 576];
+    // Weak LLRs with every seventh bit flipped do not converge instantly,
+    // so the decode loop actually runs.
+    let quantized: Vec<i16> = (0..576).map(|v| if v % 7 == 0 { -1 } else { 2 }).collect();
+    let input = FrameInput::Quantized {
+        frames: &quantized,
+        batch: 1,
+    };
 
-    // Warm-up: populate any lazily-grown buffers on both paths.
-    let warm_plain = decoder.decode_quantized(&quantized);
-    let warm_noop = decoder.decode_quantized_recorded(&quantized, &mut NoopRecorder);
-    assert_eq!(warm_plain.hard_bits, warm_noop.hard_bits);
+    let warm = decoder.decode_into(input, &mut NoopRecorder);
+    let ((allocs, bytes), out) = allocations(|| decoder.decode_into(input, &mut NoopRecorder));
 
-    let (plain_allocs, plain) = allocations(|| decoder.decode_quantized(&quantized));
-    let (noop_allocs, noop) =
-        allocations(|| decoder.decode_quantized_recorded(&quantized, &mut NoopRecorder));
-
-    assert_eq!(plain.hard_bits, noop.hard_bits);
-    assert_eq!(plain.iterations, noop.iterations);
+    assert_eq!(out, warm);
+    assert!(
+        out[0].iterations > 1,
+        "the decode loop must run: {} iteration(s)",
+        out[0].iterations
+    );
+    let owned = std::mem::size_of::<DecodeOutcome>() * out.capacity()
+        + out[0].hard_bits.capacity()
+        + std::mem::size_of::<f64>() * out[0].posterior.capacity();
     assert_eq!(
-        noop_allocs, plain_allocs,
-        "a disabled recorder must not allocate: plain = {plain_allocs}, noop = {noop_allocs}"
+        (allocs, bytes),
+        (3, owned as u64),
+        "a disabled recorder must allocate only the returned outcome"
     );
 }
