@@ -7,17 +7,11 @@
 //! and formats results.  The historical per-flavour Monte-Carlo loops are
 //! gone.
 
-use code_tables::{
-    dvb_rcs_ctc, wifi_ldpc, wran_ldpc, LteTurboCode, LteTurboCodec, LteTurboDecoderConfig,
-    NamedCodec, Standard,
-};
+use crate::spec::CodecSpec;
+use code_tables::{Decoder, Standard};
 pub use fec_channel::sim::{BerCurve, BerPoint};
 use fec_channel::sim::{EngineConfig, FecCodec, SimulationEngine};
-use wimax_ldpc::decoder::{FixedLayeredConfig, FloodingConfig, LayeredConfig};
-use wimax_ldpc::{
-    CodeRate, FloodingLdpcCodec, LayeredLdpcCodec, QcLdpcCode, QuantizedLayeredLdpcCodec,
-};
-use wimax_turbo::{CtcCode, ExtrinsicExchange, TurboCodec, TurboDecoderConfig};
+use wimax_turbo::ExtrinsicExchange;
 
 /// LDPC decoder flavour for the BER study.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -32,6 +26,16 @@ pub enum LdpcFlavor {
     Quantized,
 }
 
+impl From<LdpcFlavor> for Decoder {
+    fn from(flavor: LdpcFlavor) -> Self {
+        match flavor {
+            LdpcFlavor::Layered => Decoder::Layered,
+            LdpcFlavor::Flooding => Decoder::Flooding,
+            LdpcFlavor::Quantized => Decoder::Q7,
+        }
+    }
+}
+
 /// Builds the [`FecCodec`] for the WiMAX `r = 1/2` LDPC code of length `n`
 /// with the study's iteration budget (`Itmax = 10` for every schedule).
 ///
@@ -39,21 +43,7 @@ pub enum LdpcFlavor {
 ///
 /// Panics if `n` is not a WiMAX length.
 pub fn ldpc_codec(n: usize, flavor: LdpcFlavor) -> Box<dyn FecCodec> {
-    let code = QcLdpcCode::wimax(n, CodeRate::R12).expect("valid WiMAX length");
-    match flavor {
-        LdpcFlavor::Layered => Box::new(LayeredLdpcCodec::new(&code, LayeredConfig::default())),
-        LdpcFlavor::Flooding => Box::new(FloodingLdpcCodec::new(
-            &code,
-            FloodingConfig {
-                max_iterations: 10,
-                ..FloodingConfig::default()
-            },
-        )),
-        LdpcFlavor::Quantized => Box::new(QuantizedLayeredLdpcCodec::new(
-            &code,
-            FixedLayeredConfig::default(),
-        )),
-    }
+    CodecSpec::unchecked(Standard::Wimax, flavor.into(), n).build()
 }
 
 /// Builds the fixed-point layered [`FecCodec`] with a custom λ bit width
@@ -64,42 +54,17 @@ pub fn ldpc_codec(n: usize, flavor: LdpcFlavor) -> Box<dyn FecCodec> {
 ///
 /// Panics if `n` is not a WiMAX length or `lambda_bits` is outside `2..=15`.
 pub fn quantized_ldpc_codec(n: usize, lambda_bits: u32) -> Box<dyn FecCodec> {
-    let code = QcLdpcCode::wimax(n, CodeRate::R12).expect("valid WiMAX length");
-    Box::new(QuantizedLayeredLdpcCodec::new(
-        &code,
-        FixedLayeredConfig::default().with_lambda_bits(lambda_bits),
-    ))
+    CodecSpec::unchecked(Standard::Wimax, Decoder::Quantized { lambda_bits }, n).build()
 }
 
 /// Builds the [`FecCodec`] for the 802.11n `r = 1/2` LDPC code of length `n`
-/// (648, 1296 or 1944) in the requested decoder flavour — the new tables run
-/// on both decode datapaths through the engine unchanged.
+/// (648, 1296 or 1944) in the requested decoder flavour.
 ///
 /// # Panics
 ///
 /// Panics if `n` is not an 802.11n length.
 pub fn wifi_ldpc_codec(n: usize, flavor: LdpcFlavor) -> Box<dyn FecCodec> {
-    let code = wifi_ldpc(n, CodeRate::R12).expect("valid 802.11n length");
-    match flavor {
-        LdpcFlavor::Layered => Box::new(NamedCodec::new(
-            LayeredLdpcCodec::new(&code, LayeredConfig::default()),
-            format!("80211n-ldpc-n{n}-layered"),
-        )),
-        LdpcFlavor::Flooding => Box::new(NamedCodec::new(
-            FloodingLdpcCodec::new(
-                &code,
-                FloodingConfig {
-                    max_iterations: 10,
-                    ..FloodingConfig::default()
-                },
-            ),
-            format!("80211n-ldpc-n{n}-flooding"),
-        )),
-        LdpcFlavor::Quantized => Box::new(NamedCodec::new(
-            QuantizedLayeredLdpcCodec::new(&code, FixedLayeredConfig::default()),
-            format!("80211n-ldpc-n{n}-layered-q7"),
-        )),
-    }
+    CodecSpec::unchecked(Standard::Wifi80211n, flavor.into(), n).build()
 }
 
 /// Builds the [`FecCodec`] for the LTE rate-1/3 turbo code with block size
@@ -109,40 +74,17 @@ pub fn wifi_ldpc_codec(n: usize, flavor: LdpcFlavor) -> Box<dyn FecCodec> {
 ///
 /// Panics if `k` is not in the LTE QPP table.
 pub fn lte_turbo_codec(k: usize) -> Box<dyn FecCodec> {
-    let code = LteTurboCode::new(k).expect("valid LTE block size");
-    Box::new(LteTurboCodec::new(&code, LteTurboDecoderConfig::default()))
+    CodecSpec::unchecked(Standard::Lte, Decoder::Turbo, k).build()
 }
 
 /// Builds the [`FecCodec`] for the 802.22 `r = 1/2` WRAN LDPC code of
-/// length `n` (384 … 2304) in the requested decoder flavour — like the
-/// 802.11n tables, the WRAN tables run on both decode datapaths through the
-/// engine unchanged.
+/// length `n` (384 … 2304) in the requested decoder flavour.
 ///
 /// # Panics
 ///
 /// Panics if `n` is not an 802.22 length.
 pub fn wran_ldpc_codec(n: usize, flavor: LdpcFlavor) -> Box<dyn FecCodec> {
-    let code = wran_ldpc(n, CodeRate::R12).expect("valid 802.22 length");
-    match flavor {
-        LdpcFlavor::Layered => Box::new(NamedCodec::new(
-            LayeredLdpcCodec::new(&code, LayeredConfig::default()),
-            format!("80222-ldpc-n{n}-layered"),
-        )),
-        LdpcFlavor::Flooding => Box::new(NamedCodec::new(
-            FloodingLdpcCodec::new(
-                &code,
-                FloodingConfig {
-                    max_iterations: 10,
-                    ..FloodingConfig::default()
-                },
-            ),
-            format!("80222-ldpc-n{n}-flooding"),
-        )),
-        LdpcFlavor::Quantized => Box::new(NamedCodec::new(
-            QuantizedLayeredLdpcCodec::new(&code, FixedLayeredConfig::default()),
-            format!("80222-ldpc-n{n}-layered-q7"),
-        )),
-    }
+    CodecSpec::unchecked(Standard::Wran80222, flavor.into(), n).build()
 }
 
 /// Builds the [`FecCodec`] for the DVB-RCS duo-binary CTC with `couples`
@@ -153,21 +95,17 @@ pub fn wran_ldpc_codec(n: usize, flavor: LdpcFlavor) -> Box<dyn FecCodec> {
 ///
 /// Panics if `couples` is not a DVB-RCS couple size.
 pub fn dvb_rcs_turbo_codec(couples: usize, exchange: ExtrinsicExchange) -> Box<dyn FecCodec> {
-    let code = dvb_rcs_ctc(couples).expect("valid DVB-RCS couple size");
-    let mode = match exchange {
-        ExtrinsicExchange::SymbolLevel => "symbol",
-        ExtrinsicExchange::BitLevel => "bit",
-    };
-    Box::new(NamedCodec::new(
-        TurboCodec::new(
-            &code,
-            TurboDecoderConfig {
-                exchange,
-                ..TurboDecoderConfig::default()
-            },
-        ),
-        format!("dvbrcs-ctc-{couples}c-{mode}"),
-    ))
+    CodecSpec::unchecked(Standard::DvbRcs, Decoder::Ctc(exchange), couples).build()
+}
+
+/// Builds the [`FecCodec`] for the WiMAX CTC with `couples` couples and the
+/// given extrinsic-exchange mode.
+///
+/// # Panics
+///
+/// Panics if `couples` is not a WiMAX frame size.
+pub fn turbo_codec(couples: usize, exchange: ExtrinsicExchange) -> Box<dyn FecCodec> {
+    CodecSpec::unchecked(Standard::Wimax, Decoder::Ctc(exchange), couples).build()
 }
 
 /// The `Eb/N0` grid (dB) a standard's BER study sweeps: chosen so the
@@ -185,21 +123,95 @@ pub fn standard_snrs(standard: Standard) -> &'static [f64] {
     }
 }
 
-/// Builds the [`FecCodec`] for the WiMAX CTC with `couples` couples and the
-/// given extrinsic-exchange mode.
-///
-/// # Panics
-///
-/// Panics if `couples` is not a WiMAX frame size.
-pub fn turbo_codec(couples: usize, exchange: ExtrinsicExchange) -> Box<dyn FecCodec> {
-    let code = CtcCode::wimax(couples).expect("valid WiMAX frame size");
-    Box::new(TurboCodec::new(
-        &code,
-        TurboDecoderConfig {
-            exchange,
-            ..TurboDecoderConfig::default()
-        },
-    ))
+/// One `ber_study` section: the heading printed above it and its curves,
+/// each a codec spec with the title printed above its table.
+pub type StudySection = (String, Vec<(CodecSpec, String)>);
+
+/// The curves `ber_study --standard <standard>` runs, in order, under
+/// their section headings.  `quantized` is the extra WiMAX fixed-point
+/// curve `--quantized`/`--lambda-bits` asks for; the 802.11n and 802.22
+/// studies always run their q7 curve.
+pub fn study_sections(standard: Standard, quantized: Option<CodecSpec>) -> Vec<StudySection> {
+    const LAYERED_F64: &str = "Layered normalized min-sum, f64 reference (Itmax = 10)";
+    const FLOODING: &str = "Two-phase (flooding) normalized min-sum (Itmax = 10)";
+    const SYMBOL: &str = "Symbol-level extrinsic exchange (Max-Log-MAP, Itmax = 8)";
+    const BIT: &str = "Bit-level extrinsic exchange (Max-Log-MAP, Itmax = 8)";
+    let curve = |decoder: Decoder, block, title: &str| {
+        let spec = CodecSpec::new(standard, decoder, Some(block)).expect("study specs are valid");
+        (spec, title.to_string())
+    };
+    let fixed_point = |spec: CodecSpec| {
+        let Decoder::Quantized { lambda_bits } = spec.decoder() else {
+            panic!("the fixed-point curve needs a quantized spec");
+        };
+        let title = format!("Fixed-point layered min-sum, {lambda_bits}-bit lambda (Itmax = 10)");
+        (spec, title)
+    };
+    let symbol = Decoder::Ctc(ExtrinsicExchange::SymbolLevel);
+    let bit = Decoder::Ctc(ExtrinsicExchange::BitLevel);
+    match standard {
+        Standard::Wimax => {
+            let mut ldpc = vec![
+                curve(
+                    Decoder::Layered,
+                    576,
+                    "Layered normalized min-sum (Itmax = 10)",
+                ),
+                curve(Decoder::Flooding, 576, FLOODING),
+            ];
+            ldpc.extend(quantized.map(fixed_point));
+            vec![
+                ("WiMAX LDPC N = 576, r = 1/2".to_string(), ldpc),
+                (
+                    "WiMAX DBTC 240 couples, rate 1/2".to_string(),
+                    vec![curve(symbol, 240, SYMBOL), curve(bit, 240, BIT)],
+                ),
+            ]
+        }
+        Standard::Wifi80211n | Standard::Wran80222 => {
+            let (name, n, large) = match standard {
+                Standard::Wifi80211n => ("802.11n", 648, 1296),
+                _ => ("802.22", 480, 1440),
+            };
+            let q7 = CodecSpec::new(standard, Decoder::Q7, Some(n)).expect("study specs are valid");
+            vec![
+                (
+                    format!("{name} LDPC N = {n}, r = 1/2"),
+                    vec![
+                        curve(Decoder::Layered, n, LAYERED_F64),
+                        fixed_point(q7),
+                        curve(Decoder::Flooding, n, FLOODING),
+                    ],
+                ),
+                (
+                    format!("{name} LDPC N = {large}, r = 1/2"),
+                    vec![curve(Decoder::Layered, large, LAYERED_F64)],
+                ),
+            ]
+        }
+        Standard::Lte => [1024, 104]
+            .map(|k| {
+                (
+                    format!("LTE turbo K = {k}, r = 1/3"),
+                    vec![curve(
+                        Decoder::Turbo,
+                        k,
+                        "QPP + binary Max-Log-MAP (Itmax = 8)",
+                    )],
+                )
+            })
+            .into(),
+        Standard::DvbRcs => vec![
+            (
+                "DVB-RCS CTC 212 couples (ATM cell), rate 1/2".to_string(),
+                vec![curve(bit, 212, BIT), curve(symbol, 212, SYMBOL)],
+            ),
+            (
+                "DVB-RCS CTC 48 couples (signalling burst), rate 1/2".to_string(),
+                vec![curve(bit, 48, BIT)],
+            ),
+        ],
+    }
 }
 
 /// Runs an LDPC BER curve on the WiMAX `r = 1/2` code of length `n`, with

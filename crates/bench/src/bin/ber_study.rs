@@ -15,7 +15,10 @@
 //! * `--standard dvbrcs` — the DVB-RCS duo-binary CTC (ATM and signalling
 //!   frame sizes) with bit- and symbol-level extrinsic exchange.
 //!
-//! All studies run on the unified parallel simulation engine.
+//! The curves of each study are one table of [`decoder_bench::CodecSpec`]s
+//! ([`decoder_bench::study_sections`]) — the same specs the `fec-svc`
+//! daemon builds its BER jobs from — and all of them run on the unified
+//! parallel simulation engine.
 //!
 //! Usage: `cargo run -p decoder-bench --bin ber_study --release --
 //! [frames] [--standard wimax|80211n|lte|80222|dvbrcs] [--quantized]
@@ -25,7 +28,11 @@
 //!
 //! `--quantized` adds the fixed-point layered LDPC curve (the hardware
 //! datapath model) next to the floating-point reference, quantizing channel
-//! LLRs to `--lambda-bits` bits (default 7, the paper's λ width).
+//! LLRs to `--lambda-bits` bits (default 7, the paper's λ width).  The
+//! 802.11n and 802.22 studies always run that curve at 7 bits; LTE and
+//! DVB-RCS have no LDPC code.  Both flags are validated like a daemon job's
+//! `codec: "quantized"` / `lambda_bits`, and an invalid combination exits
+//! with status 2 and the daemon's reason before any curve runs.
 //!
 //! `--workers` sets the worker count of the shared simulation pool (default
 //! one per core); every curve schedules its `(point, shard)` work units
@@ -52,16 +59,13 @@
 //! combination.  `--metrics-report` prints the ASCII report instead of (or
 //! next to) the file.
 
-use code_tables::Standard;
+use code_tables::{Decoder, Standard};
 use decoder_bench::{
-    dvb_rcs_turbo_codec, ldpc_codec, lte_turbo_codec, print_curve, quantized_ldpc_codec,
-    run_curve_maybe_observed as run_observed, standard_snrs, study_engine_config, study_seed,
-    turbo_codec, wifi_ldpc_codec, wran_ldpc_codec, write_json, AdaptiveFlags, BerCurve, CodecClass,
-    CommonFlags, LdpcFlavor, ObsCollector,
+    print_curve, run_curve_maybe_observed, standard_snrs, study_engine_config, study_sections,
+    write_json, CodecSpec, CommonFlags, ObsCollector,
 };
 use fec_channel::sim::SimulationEngine;
 use fec_json::{Json, ToJson};
-use wimax_turbo::ExtrinsicExchange;
 
 fn main() {
     let flags = CommonFlags::parse(std::env::args().skip(1));
@@ -75,17 +79,18 @@ fn main() {
         rest,
     } = flags;
     let standard = standard.unwrap_or(Standard::Wimax);
-    let mut quantized = false;
-    let mut lambda_bits: u32 = 7;
+    let mut quantized = None;
     let mut frames: u64 = 60;
     let mut rest = rest.into_iter();
     while let Some(arg) = rest.next() {
         match arg.as_str() {
-            "--quantized" => quantized = true,
+            "--quantized" => {
+                quantized.get_or_insert(Decoder::Q7);
+            }
             "--lambda-bits" => {
                 let value = rest.next().expect("--lambda-bits requires a bit width");
-                lambda_bits = value.parse().expect("--lambda-bits takes an integer");
-                quantized = true;
+                let lambda_bits = value.parse().expect("--lambda-bits takes an integer");
+                quantized = Some(Decoder::Quantized { lambda_bits });
             }
             other => {
                 frames = other
@@ -94,13 +99,15 @@ fn main() {
             }
         }
     }
+    // The fixed-point flags name a codec like a daemon job does, so they
+    // are validated (and rejected) with the daemon's reasons.
+    let quantized = quantized.map(|decoder| {
+        CodecSpec::new(standard, decoder, None).unwrap_or_else(|reason| {
+            eprintln!("ber_study: {reason}");
+            std::process::exit(2);
+        })
+    });
 
-    let study = StudyCfg {
-        frames,
-        workers,
-        batch,
-        adaptive,
-    };
     if let Some(a) = adaptive {
         println!(
             "adaptive stop rule: target relative half-width {} at {}% confidence, \
@@ -110,13 +117,25 @@ fn main() {
         );
     }
     let mut obs = metrics.enabled().then(ObsCollector::new);
-    let curves = match standard {
-        Standard::Wimax => wimax_study(&study, quantized, lambda_bits, &mut obs),
-        Standard::Wifi80211n => wifi_study(&study, &mut obs),
-        Standard::Lte => lte_study(&study, &mut obs),
-        Standard::Wran80222 => wran_study(&study, &mut obs),
-        Standard::DvbRcs => dvbrcs_study(&study, &mut obs),
-    };
+    let snrs = standard_snrs(standard);
+    let mut curves = Vec::new();
+    for (heading, section) in study_sections(standard, quantized) {
+        println!("{heading} ({frames} frames per point)\n");
+        for (spec, title) in section {
+            // The same engine assembly and seed as the daemon's BER job for
+            // this spec, so CLI and daemon rows are byte-identical.
+            let engine = SimulationEngine::new(study_engine_config(
+                frames,
+                workers,
+                batch,
+                adaptive,
+                spec.seed(),
+            ));
+            let curve = run_curve_maybe_observed(&engine, spec.build().as_ref(), snrs, &mut obs);
+            print_curve(&title, &curve.points);
+            curves.push(curve);
+        }
+    }
     if let Some(collector) = &obs {
         metrics.emit(&collector.registry);
     }
@@ -143,265 +162,4 @@ fn main() {
         let json = Json::obj(pairs);
         write_json(&path, &json);
     }
-}
-
-/// Per-study engine settings shared by all five standards: the frame
-/// budget (exact in fixed mode, a cap in adaptive mode), pool workers,
-/// decode batch size and the optional adaptive stop rule.
-#[derive(Debug, Clone, Copy)]
-struct StudyCfg {
-    frames: u64,
-    workers: usize,
-    batch: usize,
-    adaptive: Option<AdaptiveFlags>,
-}
-
-impl StudyCfg {
-    /// Builds the engine for one curve family, with the standard-specific
-    /// RNG `seed` (fixed seeds keep the CI trajectory byte-identical).
-    /// Routes through [`study_engine_config`] — the same assembly the
-    /// `fec-svc` daemon uses — so CLI and daemon outputs are identical.
-    fn engine(&self, seed: u64) -> SimulationEngine {
-        SimulationEngine::new(study_engine_config(
-            self.frames,
-            self.workers,
-            self.batch,
-            self.adaptive,
-            seed,
-        ))
-    }
-}
-
-fn wimax_study(
-    study: &StudyCfg,
-    quantized: bool,
-    lambda_bits: u32,
-    obs: &mut Option<ObsCollector>,
-) -> Vec<BerCurve> {
-    let frames = study.frames;
-    let snrs = standard_snrs(Standard::Wimax);
-    let ldpc_engine = study.engine(study_seed(Standard::Wimax, CodecClass::Ldpc));
-    let turbo_engine = study.engine(study_seed(Standard::Wimax, CodecClass::Turbo));
-
-    println!("WiMAX LDPC N = 576, r = 1/2 ({frames} frames per point)\n");
-    let layered = run_observed(
-        &ldpc_engine,
-        ldpc_codec(576, LdpcFlavor::Layered).as_ref(),
-        snrs,
-        obs,
-    );
-    print_curve("Layered normalized min-sum (Itmax = 10)", &layered.points);
-    let flooding = run_observed(
-        &ldpc_engine,
-        ldpc_codec(576, LdpcFlavor::Flooding).as_ref(),
-        snrs,
-        obs,
-    );
-    print_curve(
-        "Two-phase (flooding) normalized min-sum (Itmax = 10)",
-        &flooding.points,
-    );
-    let quantized_curve = quantized.then(|| {
-        let curve = run_observed(
-            &ldpc_engine,
-            quantized_ldpc_codec(576, lambda_bits).as_ref(),
-            snrs,
-            obs,
-        );
-        print_curve(
-            &format!("Fixed-point layered min-sum, {lambda_bits}-bit lambda (Itmax = 10)"),
-            &curve.points,
-        );
-        curve
-    });
-
-    println!("WiMAX DBTC 240 couples, rate 1/2 ({frames} frames per point)\n");
-    let symbol = run_observed(
-        &turbo_engine,
-        turbo_codec(240, ExtrinsicExchange::SymbolLevel).as_ref(),
-        snrs,
-        obs,
-    );
-    print_curve(
-        "Symbol-level extrinsic exchange (Max-Log-MAP, Itmax = 8)",
-        &symbol.points,
-    );
-    let bit = run_observed(
-        &turbo_engine,
-        turbo_codec(240, ExtrinsicExchange::BitLevel).as_ref(),
-        snrs,
-        obs,
-    );
-    print_curve(
-        "Bit-level extrinsic exchange (Max-Log-MAP, Itmax = 8)",
-        &bit.points,
-    );
-
-    let mut curves = vec![layered, flooding];
-    curves.extend(quantized_curve);
-    curves.push(symbol);
-    curves.push(bit);
-    curves
-}
-
-fn wifi_study(study: &StudyCfg, obs: &mut Option<ObsCollector>) -> Vec<BerCurve> {
-    let frames = study.frames;
-    let snrs = standard_snrs(Standard::Wifi80211n);
-    let engine = study.engine(study_seed(Standard::Wifi80211n, CodecClass::Ldpc));
-
-    println!("802.11n LDPC N = 648, r = 1/2 ({frames} frames per point)\n");
-    let layered = run_observed(
-        &engine,
-        wifi_ldpc_codec(648, LdpcFlavor::Layered).as_ref(),
-        snrs,
-        obs,
-    );
-    print_curve(
-        "Layered normalized min-sum, f64 reference (Itmax = 10)",
-        &layered.points,
-    );
-    let fixed = run_observed(
-        &engine,
-        wifi_ldpc_codec(648, LdpcFlavor::Quantized).as_ref(),
-        snrs,
-        obs,
-    );
-    print_curve(
-        "Fixed-point layered min-sum, 7-bit lambda (Itmax = 10)",
-        &fixed.points,
-    );
-    let flooding = run_observed(
-        &engine,
-        wifi_ldpc_codec(648, LdpcFlavor::Flooding).as_ref(),
-        snrs,
-        obs,
-    );
-    print_curve(
-        "Two-phase (flooding) normalized min-sum (Itmax = 10)",
-        &flooding.points,
-    );
-
-    println!("802.11n LDPC N = 1296, r = 1/2 ({frames} frames per point)\n");
-    let layered_1296 = run_observed(
-        &engine,
-        wifi_ldpc_codec(1296, LdpcFlavor::Layered).as_ref(),
-        snrs,
-        obs,
-    );
-    print_curve(
-        "Layered normalized min-sum, f64 reference (Itmax = 10)",
-        &layered_1296.points,
-    );
-
-    vec![layered, fixed, flooding, layered_1296]
-}
-
-fn wran_study(study: &StudyCfg, obs: &mut Option<ObsCollector>) -> Vec<BerCurve> {
-    let frames = study.frames;
-    let snrs = standard_snrs(Standard::Wran80222);
-    let engine = study.engine(study_seed(Standard::Wran80222, CodecClass::Ldpc));
-
-    println!("802.22 LDPC N = 480, r = 1/2 ({frames} frames per point)\n");
-    let layered = run_observed(
-        &engine,
-        wran_ldpc_codec(480, LdpcFlavor::Layered).as_ref(),
-        snrs,
-        obs,
-    );
-    print_curve(
-        "Layered normalized min-sum, f64 reference (Itmax = 10)",
-        &layered.points,
-    );
-    let fixed = run_observed(
-        &engine,
-        wran_ldpc_codec(480, LdpcFlavor::Quantized).as_ref(),
-        snrs,
-        obs,
-    );
-    print_curve(
-        "Fixed-point layered min-sum, 7-bit lambda (Itmax = 10)",
-        &fixed.points,
-    );
-    let flooding = run_observed(
-        &engine,
-        wran_ldpc_codec(480, LdpcFlavor::Flooding).as_ref(),
-        snrs,
-        obs,
-    );
-    print_curve(
-        "Two-phase (flooding) normalized min-sum (Itmax = 10)",
-        &flooding.points,
-    );
-
-    println!("802.22 LDPC N = 1440, r = 1/2 ({frames} frames per point)\n");
-    let layered_1440 = run_observed(
-        &engine,
-        wran_ldpc_codec(1440, LdpcFlavor::Layered).as_ref(),
-        snrs,
-        obs,
-    );
-    print_curve(
-        "Layered normalized min-sum, f64 reference (Itmax = 10)",
-        &layered_1440.points,
-    );
-
-    vec![layered, fixed, flooding, layered_1440]
-}
-
-fn dvbrcs_study(study: &StudyCfg, obs: &mut Option<ObsCollector>) -> Vec<BerCurve> {
-    let frames = study.frames;
-    let snrs = standard_snrs(Standard::DvbRcs);
-    let engine = study.engine(study_seed(Standard::DvbRcs, CodecClass::Turbo));
-
-    println!("DVB-RCS CTC 212 couples (ATM cell), rate 1/2 ({frames} frames per point)\n");
-    let bit = run_observed(
-        &engine,
-        dvb_rcs_turbo_codec(212, ExtrinsicExchange::BitLevel).as_ref(),
-        snrs,
-        obs,
-    );
-    print_curve(
-        "Bit-level extrinsic exchange (Max-Log-MAP, Itmax = 8)",
-        &bit.points,
-    );
-    let symbol = run_observed(
-        &engine,
-        dvb_rcs_turbo_codec(212, ExtrinsicExchange::SymbolLevel).as_ref(),
-        snrs,
-        obs,
-    );
-    print_curve(
-        "Symbol-level extrinsic exchange (Max-Log-MAP, Itmax = 8)",
-        &symbol.points,
-    );
-
-    println!("DVB-RCS CTC 48 couples (signalling burst), rate 1/2 ({frames} frames per point)\n");
-    let small = run_observed(
-        &engine,
-        dvb_rcs_turbo_codec(48, ExtrinsicExchange::BitLevel).as_ref(),
-        snrs,
-        obs,
-    );
-    print_curve(
-        "Bit-level extrinsic exchange (Max-Log-MAP, Itmax = 8)",
-        &small.points,
-    );
-
-    vec![bit, symbol, small]
-}
-
-fn lte_study(study: &StudyCfg, obs: &mut Option<ObsCollector>) -> Vec<BerCurve> {
-    let frames = study.frames;
-    let snrs = standard_snrs(Standard::Lte);
-    let engine = study.engine(study_seed(Standard::Lte, CodecClass::Turbo));
-
-    println!("LTE turbo K = 1024, r = 1/3 ({frames} frames per point)\n");
-    let k1024 = run_observed(&engine, lte_turbo_codec(1024).as_ref(), snrs, obs);
-    print_curve("QPP + binary Max-Log-MAP (Itmax = 8)", &k1024.points);
-
-    println!("LTE turbo K = 104, r = 1/3 ({frames} frames per point)\n");
-    let k104 = run_observed(&engine, lte_turbo_codec(104).as_ref(), snrs, obs);
-    print_curve("QPP + binary Max-Log-MAP (Itmax = 8)", &k104.points);
-
-    vec![k1024, k104]
 }

@@ -10,10 +10,10 @@
 //! their own positional/extra flags; [`CommonFlags::parse`] runs the whole
 //! chain in the canonical order.
 //!
-//! The study RNG seeds ([`study_seed`]) and the engine assembly
-//! ([`study_engine_config`]) also live here: a daemon BER job and a
-//! `ber_study` run built from the same options are byte-identical because
-//! they are literally the same configuration.
+//! The engine assembly ([`study_engine_config`]) also lives here: a daemon
+//! BER job and a `ber_study` curve built from the same options and the
+//! same [`crate::spec::CodecSpec`] (whose seed the engine takes) are
+//! byte-identical because they are literally the same configuration.
 
 use code_tables::Standard;
 use fec_channel::sim::EngineConfig;
@@ -250,31 +250,6 @@ impl CommonFlags {
     }
 }
 
-/// Which codec family a study curve belongs to, for seed selection: each
-/// standard's LDPC and turbo studies run on distinct fixed RNG seeds.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum CodecClass {
-    /// LDPC decoders (layered, flooding, fixed-point).
-    Ldpc,
-    /// Turbo decoders (binary and duo-binary).
-    Turbo,
-}
-
-/// The fixed per-study RNG seed used by `ber_study` and the daemon's BER
-/// jobs: one seed per `(standard, codec class)` family keeps the CI
-/// trajectory byte-identical and lets a daemon job reproduce the exact
-/// one-shot CLI output.
-pub fn study_seed(standard: Standard, class: CodecClass) -> u64 {
-    match (standard, class) {
-        (Standard::Wimax, CodecClass::Ldpc) => 11,
-        (Standard::Wimax, CodecClass::Turbo) => 13,
-        (Standard::Wifi80211n, _) => 17,
-        (Standard::Lte, _) => 19,
-        (Standard::Wran80222, _) => 23,
-        (Standard::DvbRcs, _) => 29,
-    }
-}
-
 /// Assembles the engine configuration for one study curve family from the
 /// shared options: fixed frame budget or adaptive stop rule, pool workers
 /// and decode batch size.  `ber_study` and the daemon both route through
@@ -490,16 +465,6 @@ mod tests {
         assert_eq!(flags.json, None);
         assert_eq!(flags.adaptive, None);
         assert!(flags.rest.is_empty());
-    }
-
-    #[test]
-    fn study_seeds_are_the_documented_per_family_constants() {
-        assert_eq!(study_seed(Standard::Wimax, CodecClass::Ldpc), 11);
-        assert_eq!(study_seed(Standard::Wimax, CodecClass::Turbo), 13);
-        assert_eq!(study_seed(Standard::Wifi80211n, CodecClass::Ldpc), 17);
-        assert_eq!(study_seed(Standard::Lte, CodecClass::Turbo), 19);
-        assert_eq!(study_seed(Standard::Wran80222, CodecClass::Ldpc), 23);
-        assert_eq!(study_seed(Standard::DvbRcs, CodecClass::Turbo), 29);
     }
 
     #[test]

@@ -1,5 +1,6 @@
-//! `--metrics` support for the study binaries: flag parsing, a per-run
-//! collector, and re-exports of the canonical `OBS_*.json` schema
+//! `--metrics` support for the study binaries: the parsed options (the
+//! flags themselves are parsed in [`crate::cli`]), a per-run collector, and
+//! re-exports of the canonical `OBS_*.json` schema
 //! ([`noc_decoder::obs_export`]).
 //!
 //! Every study binary accepts `--metrics <path>`: the metrics collected
@@ -92,8 +93,3 @@ pub fn run_curve_maybe_observed(
         None => engine.run_curve(codec, snrs),
     }
 }
-
-/// The `--metrics` / `--metrics-report` parser, hosted in [`crate::cli`]
-/// with the rest of the shared flag parsers (re-exported here for
-/// compatibility).
-pub use crate::cli::metrics_flags_from_args;

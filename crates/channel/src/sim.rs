@@ -195,14 +195,6 @@ pub struct EngineConfig {
     /// [`StopRule::RelativeWidth`], which runs continuation rounds until the
     /// Wilson relative half-width of the FER estimate reaches the target.
     pub stop_rule: StopRule,
-    /// Optional curve-wide frame budget for the adaptive mode: at every
-    /// round boundary the remaining global budget is rebalanced across the
-    /// still-running points, proportionally to their projected need — a pure
-    /// function of the merged counts.  Requires
-    /// [`StopRule::RelativeWidth`]; rebalancing needs a curve-wide merged
-    /// state, so the engine runs the curve in lockstep global rounds when
-    /// this is set.
-    pub global_frame_cap: Option<u64>,
 }
 
 impl Default for EngineConfig {
@@ -214,7 +206,6 @@ impl Default for EngineConfig {
             seed: 0x5EED,
             batch_frames: 1,
             stop_rule: StopRule::default(),
-            global_frame_cap: None,
         }
     }
 }
@@ -287,12 +278,6 @@ impl EngineConfig {
         self
     }
 
-    /// Builder-style setter for the optional curve-wide adaptive frame cap.
-    pub fn with_global_frame_cap(mut self, cap: Option<u64>) -> Self {
-        self.global_frame_cap = cap;
-        self
-    }
-
     /// Builder-style setter for the decode batch size.
     ///
     /// # Panics
@@ -323,19 +308,7 @@ impl EngineConfig {
                     .into(),
             );
         }
-        self.stop_rule.validate()?;
-        if self.stop_rule.is_adaptive() {
-            if self.global_frame_cap == Some(0) {
-                return Err("global_frame_cap must be at least 1 when set".into());
-            }
-        } else if self.global_frame_cap.is_some() {
-            return Err(
-                "global_frame_cap requires the adaptive StopRule::RelativeWidth \
-                 (a fixed budget already pins every point's frame count)"
-                    .into(),
-            );
-        }
-        Ok(())
+        self.stop_rule.validate()
     }
 }
 
@@ -523,23 +496,14 @@ impl SimulationEngine {
             observed: observe.is_some(),
         };
 
-        // A curve-wide adaptive budget needs the *whole* merged curve state
-        // at every decision, so rebalancing runs in lockstep global rounds;
-        // otherwise points schedule their own rounds independently.
-        let initial = if cfg.global_frame_cap.is_some() {
-            schedule_global_round(&ctx, &mut states)
-        } else {
-            let mut initial = Vec::new();
-            for (point, state) in states.iter_mut().enumerate() {
-                initial.extend(schedule_round(&ctx, state, point));
-            }
-            initial
-        };
-        // A round never schedules more jobs per point than there are shards,
-        // so the first round's job count is the concurrency the whole curve
-        // can ever expose (later adaptive rounds grow in frames per job, not
-        // in jobs).
-        let mut curve_in_flight = initial.len();
+        // Points schedule their own rounds independently.  A round never
+        // schedules more jobs per point than there are shards, so the first
+        // round's job count is the concurrency the whole curve can ever
+        // expose (later adaptive rounds grow in frames per job, not in jobs).
+        let mut initial = Vec::new();
+        for (point, state) in states.iter_mut().enumerate() {
+            initial.extend(schedule_round(&ctx, state, point));
+        }
         match observe {
             None => {
                 WorkPool::new(cfg.workers)
@@ -548,9 +512,7 @@ impl SimulationEngine {
                         let JobOutcome::Done((rng, acc, _)) = outcome else {
                             unreachable!("engine shard jobs carry no cancel token")
                         };
-                        let next =
-                            on_shard_done(&ctx, &mut states, &mut curve_in_flight, id, rng, acc);
-                        sink.submit_all(next);
+                        sink.submit_all(on_shard_done(&ctx, &mut states, id, rng, acc));
                     });
             }
             Some((clock, obs)) => {
@@ -565,9 +527,7 @@ impl SimulationEngine {
                         if let Some(reg) = reg {
                             obs.merge(&reg);
                         }
-                        let next =
-                            on_shard_done(&ctx, &mut states, &mut curve_in_flight, id, rng, acc);
-                        sink.submit_all(next);
+                        sink.submit_all(on_shard_done(&ctx, &mut states, id, rng, acc));
                     });
                 pool_obs.record_into(obs, "pool");
                 obs.incr(Class::Count, "engine.points", ebn0_dbs.len() as u64);
@@ -743,100 +703,27 @@ fn schedule_round<'env>(
     build_round_jobs(ctx, state, point, round)
 }
 
-/// Builds one lockstep *global* round for the optional adaptive curve-wide
-/// frame cap: called only at a curve-wide round boundary (no job of any
-/// point in flight), it computes every still-running point's desired next
-/// round from its merged counts and, when the remaining global budget
-/// cannot cover the sum, rebalances proportionally — floor-scaled shares
-/// with the leftover frames handed out in point-index order.  Every input
-/// is merged state at a deterministic barrier, so the rebalanced schedule
-/// is bit-identical at any worker count.
-fn schedule_global_round<'env>(
-    ctx: &CurveCtx<'env>,
-    states: &mut [PointState],
-) -> Vec<Job<'env, ShardResult>> {
-    let cap = ctx
-        .cfg
-        .global_frame_cap
-        .expect("lockstep global rounds require a global frame cap");
-    let used: u64 = states.iter().map(|s| s.total.counter.frames()).sum();
-    let budget = cap.saturating_sub(used);
-    let desired: Vec<u64> = states
-        .iter()
-        .map(|s| next_round_frames(ctx, &s.total.counter))
-        .collect();
-    let total: u64 = desired.iter().sum();
-    let grants = if total <= budget {
-        desired
-    } else {
-        let mut grants: Vec<u64> = desired
-            .iter()
-            .map(|&d| (d as u128 * budget as u128 / total as u128) as u64)
-            .collect();
-        let mut leftover = budget - grants.iter().sum::<u64>();
-        while leftover > 0 {
-            let mut progressed = false;
-            for (grant, &want) in grants.iter_mut().zip(&desired) {
-                if leftover > 0 && *grant < want {
-                    *grant += 1;
-                    leftover -= 1;
-                    progressed = true;
-                }
-            }
-            if !progressed {
-                break;
-            }
-        }
-        grants
-    };
-    let mut jobs = Vec::new();
-    for (point, &grant) in grants.iter().enumerate() {
-        if grant > 0 {
-            jobs.extend(build_round_jobs(ctx, &mut states[point], point, grant));
-        } else {
-            states[point].in_flight = 0;
-        }
-    }
-    jobs
-}
-
 /// Merges one finished `(point, shard)` job back into the curve state and
-/// returns the next round's jobs, if this completion closed a round
-/// boundary: the point's own boundary in independent mode, the curve-wide
-/// boundary in lockstep-global-cap mode.
+/// returns the point's next round's jobs, if this completion closed the
+/// point's round boundary.
 fn on_shard_done<'env>(
     ctx: &CurveCtx<'env>,
     states: &mut [PointState],
-    curve_in_flight: &mut usize,
     id: usize,
     rng: StdRng,
     acc: PointAccumulator,
 ) -> Vec<Job<'env, ShardResult>> {
     let shards = ctx.cfg.shards;
     let (point, shard) = (id / shards, id % shards);
-    {
-        let state = &mut states[point];
-        state.rngs[shard] = Some(rng);
-        state.total.merge(&acc);
-        state.in_flight -= 1;
-    }
-    *curve_in_flight -= 1;
-    let next = if ctx.cfg.global_frame_cap.is_some() {
-        if *curve_in_flight == 0 {
-            schedule_global_round(ctx, states)
-        } else {
-            Vec::new()
-        }
+    let state = &mut states[point];
+    state.rngs[shard] = Some(rng);
+    state.total.merge(&acc);
+    state.in_flight -= 1;
+    if state.in_flight == 0 {
+        schedule_round(ctx, state, point)
     } else {
-        let state = &mut states[point];
-        if state.in_flight == 0 {
-            schedule_round(ctx, state, point)
-        } else {
-            Vec::new()
-        }
-    };
-    *curve_in_flight += next.len();
-    next
+        Vec::new()
+    }
 }
 
 /// Builds the `(point, shard)` jobs of one `round`-frame scheduling round,
@@ -1075,7 +962,6 @@ mod tests {
             seed: 99,
             batch_frames: 1,
             stop_rule,
-            ..EngineConfig::default()
         })
     }
 
@@ -1121,7 +1007,6 @@ mod tests {
                     seed: 99,
                     batch_frames: batch,
                     stop_rule: stop,
-                    ..EngineConfig::default()
                 });
                 let point = eng.run_point(&codec, 1.0);
                 assert_eq!(point, reference, "workers = {workers}, batch = {batch}");
@@ -1291,7 +1176,6 @@ mod tests {
                     seed: 99,
                     batch_frames: batch,
                     stop_rule: stop,
-                    ..EngineConfig::default()
                 });
                 let mut obs = Registry::new();
                 let curve = eng.run_curve_observed(&codec, &snrs, &clock, &mut obs);
@@ -1377,35 +1261,6 @@ mod tests {
     }
 
     #[test]
-    fn global_frame_cap_is_honoured_and_deterministic() {
-        let codec = Repetition { k: 24 };
-        let snrs = [0.0, 2.0, 4.0];
-        let engine = |workers: usize, batch: usize| {
-            SimulationEngine::new(
-                EngineConfig::adaptive(2_000, 0.05, 0.95, 99)
-                    .with_shards(8)
-                    .with_workers(workers)
-                    .with_batch_frames(batch)
-                    .with_global_frame_cap(Some(700)),
-            )
-        };
-        let reference = engine(1, 1).run_curve(&codec, &snrs);
-        let total: u64 = reference.points.iter().map(|p| p.frames).sum();
-        assert!(total <= 700, "total = {total}");
-        // The 5% target is unreachable under this budget, so the cap binds.
-        assert!(
-            total >= 650,
-            "the budget should be nearly exhausted: {total}"
-        );
-        for workers in [2, 8] {
-            for batch in [1, 8] {
-                let curve = engine(workers, batch).run_curve(&codec, &snrs);
-                assert_eq!(curve, reference, "workers = {workers}, batch = {batch}");
-            }
-        }
-    }
-
-    #[test]
     fn adaptive_observed_counts_and_metrics_are_deterministic() {
         let codec = Repetition { k: 24 };
         let clock = fec_obs::ManualClock::new();
@@ -1482,14 +1337,6 @@ mod tests {
             });
         let err = cfg.validate().unwrap_err();
         assert!(err.contains("min_frames"), "{err}");
-        // A global cap makes no sense with a fixed budget.
-        let cfg = EngineConfig::default().with_global_frame_cap(Some(100));
-        let err = cfg.validate().unwrap_err();
-        assert!(err.contains("global_frame_cap"), "{err}");
-        // Zero global cap is rejected too.
-        let cfg = EngineConfig::adaptive(1_000, 0.2, 0.95, 1).with_global_frame_cap(Some(0));
-        let err = cfg.validate().unwrap_err();
-        assert!(err.contains("global_frame_cap"), "{err}");
         assert!(EngineConfig::adaptive(1_000, 0.2, 0.95, 1)
             .validate()
             .is_ok());

@@ -23,7 +23,9 @@
 //!   SISO;
 //! * [`registry`] — [`StandardCode`] + the [`StandardRegistry`] trait, the
 //!   interface the compliance sweep, the design-space explorer and the BER
-//!   binaries use to enumerate and decode codes per standard.
+//!   binaries use to enumerate and decode codes per standard, and
+//!   [`StandardCode::codec_for`], the one constructor of every [`Decoder`]'s
+//!   codec adapter and label.
 //!
 //! # Example
 //!
@@ -56,7 +58,7 @@ pub use lte::{
     LteTurboEncoder, LteTurboError, QppInterleaver, QppParameters, LTE_QPP_TABLE,
 };
 pub use registry::{
-    registry_for, DvbRcsRegistry, LteRegistry, NamedCodec, StandardCode, StandardRegistry,
+    registry_for, Decoder, DvbRcsRegistry, LteRegistry, NamedCodec, StandardCode, StandardRegistry,
     WifiRegistry, WimaxRegistry, WranRegistry,
 };
 pub use standard::{Standard, UnknownStandard};

@@ -12,13 +12,72 @@ use crate::standard::Standard;
 use crate::wifi::{wifi_ldpc, wifi_rates, WIFI_BLOCK_LENGTHS};
 use crate::wran::{wran_ldpc, wran_rates, WRAN_BLOCK_LENGTHS};
 use fec_channel::sim::{DecodedFrame, FecCodec};
-use fec_fixed::Llr;
+use fec_fixed::{Llr, LAMBDA_BITS};
 use fec_obs::Registry;
-use wimax_ldpc::decoder::{FixedLayeredConfig, LayeredConfig};
+use wimax_ldpc::decoder::{FixedLayeredConfig, FloodingConfig, LayeredConfig};
 use wimax_ldpc::{
-    wimax_block_lengths, CodeRate, LayeredLdpcCodec, QcLdpcCode, QuantizedLayeredLdpcCodec,
+    wimax_block_lengths, CodeRate, FloodingLdpcCodec, LayeredLdpcCodec, QcLdpcCode,
+    QuantizedLayeredLdpcCodec,
 };
-use wimax_turbo::{CtcCode, TurboCodec, TurboDecoderConfig, WIMAX_FRAME_SIZES};
+use wimax_turbo::{CtcCode, ExtrinsicExchange, TurboCodec, TurboDecoderConfig, WIMAX_FRAME_SIZES};
+
+/// The decoder that runs a code: one of the three LDPC datapaths, the LTE
+/// binary turbo decoder, or the duo-binary CTC decoder with its extrinsic
+/// exchange.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Decoder {
+    /// Layered normalized min-sum, f64 reference datapath (`Itmax = 10`).
+    Layered,
+    /// Two-phase flooding normalized min-sum (`Itmax = 10`).
+    Flooding,
+    /// Fixed-point layered normalized min-sum, the hardware datapath model
+    /// (`Itmax = 10`); the `R` message memory follows the λ width.
+    Quantized {
+        /// λ quantization width in bits (the paper's is 7).
+        lambda_bits: u32,
+    },
+    /// The LTE binary turbo decoder (Max-Log-MAP, `Itmax = 8`).
+    Turbo,
+    /// The duo-binary CTC decoder (Max-Log-MAP, `Itmax = 8`) with the given
+    /// extrinsic exchange.
+    Ctc(ExtrinsicExchange),
+}
+
+impl Decoder {
+    /// The paper's fixed-point datapath: 7-bit λ.
+    pub const Q7: Decoder = Decoder::Quantized {
+        lambda_bits: LAMBDA_BITS,
+    };
+
+    /// One decoder per [`Decoder::key`], in documentation order
+    /// (`quantized` at the paper's 7-bit λ).
+    pub const ALL: [Decoder; 6] = [
+        Decoder::Layered,
+        Decoder::Flooding,
+        Decoder::Q7,
+        Decoder::Turbo,
+        Decoder::Ctc(ExtrinsicExchange::SymbolLevel),
+        Decoder::Ctc(ExtrinsicExchange::BitLevel),
+    ];
+
+    /// The decoder's key: `layered`, `flooding`, `quantized`, `turbo`,
+    /// `turbo-symbol` or `turbo-bit`.
+    pub fn key(self) -> &'static str {
+        match self {
+            Decoder::Layered => "layered",
+            Decoder::Flooding => "flooding",
+            Decoder::Quantized { .. } => "quantized",
+            Decoder::Turbo => "turbo",
+            Decoder::Ctc(ExtrinsicExchange::SymbolLevel) => "turbo-symbol",
+            Decoder::Ctc(ExtrinsicExchange::BitLevel) => "turbo-bit",
+        }
+    }
+
+    /// Parses a decoder key (`quantized` selects [`Decoder::Q7`]).
+    pub fn from_key(key: &str) -> Option<Decoder> {
+        Decoder::ALL.into_iter().find(|d| d.key() == key)
+    }
+}
 
 /// One channel code of one standard, carrying everything the functional and
 /// architectural layers need.
@@ -109,37 +168,92 @@ impl StandardCode {
     }
 
     /// Builds the default functional decoder for this code behind the
-    /// unified [`FecCodec`] interface (f64 reference datapath for LDPC,
-    /// Max-Log-MAP for turbo), with the label prefixed by the standard.
+    /// unified [`FecCodec`] interface: the f64 layered datapath for LDPC,
+    /// Max-Log-MAP with bit-level exchange for the duo-binary CTCs.
     pub fn codec(&self) -> Box<dyn FecCodec> {
-        match self {
-            StandardCode::Ldpc { standard, code } => Box::new(NamedCodec::new(
-                LayeredLdpcCodec::new(code, LayeredConfig::default()),
-                format!("{}-ldpc-n{}-layered", standard.flag(), code.n()),
-            )),
-            StandardCode::WimaxTurbo { code } => {
-                Box::new(TurboCodec::new(code, TurboDecoderConfig::default()))
+        let decoder = match self {
+            StandardCode::Ldpc { .. } => Decoder::Layered,
+            StandardCode::LteTurbo { .. } => Decoder::Turbo,
+            StandardCode::WimaxTurbo { .. } | StandardCode::DvbRcsTurbo { .. } => {
+                Decoder::Ctc(ExtrinsicExchange::default())
             }
-            StandardCode::LteTurbo { code } => {
-                Box::new(LteTurboCodec::new(code, LteTurboDecoderConfig::default()))
-            }
-            StandardCode::DvbRcsTurbo { code } => Box::new(NamedCodec::new(
-                TurboCodec::new(code, TurboDecoderConfig::default()),
-                format!("dvbrcs-ctc-{}c-bit", code.couples()),
-            )),
-        }
+        };
+        self.codec_for(decoder)
+            .expect("the default decoder runs its own code")
     }
 
     /// The fixed-point hardware-datapath codec for LDPC codes (`None` for
     /// turbo codes, which model the datapath inside the SISO).
     pub fn quantized_codec(&self) -> Option<Box<dyn FecCodec>> {
-        match self {
-            StandardCode::Ldpc { standard, code } => Some(Box::new(NamedCodec::new(
-                QuantizedLayeredLdpcCodec::new(code, FixedLayeredConfig::default()),
-                format!("{}-ldpc-n{}-layered-q7", standard.flag(), code.n()),
-            ))),
-            _ => None,
-        }
+        self.codec_for(Decoder::Q7)
+    }
+
+    /// Builds `decoder` for this code behind the unified [`FecCodec`]
+    /// interface, labelled `<standard>-ldpc-n<n>-<flavour>`,
+    /// `<standard>-ctc-<couples>c-<exchange>` or `<standard>-turbo-k<k>`
+    /// (standard as in [`Standard::flag`]); `None` when `decoder` does not
+    /// run this code family.  Every codec adapter the study binaries, the
+    /// daemon and the registry use is constructed here.
+    pub fn codec_for(&self, decoder: Decoder) -> Option<Box<dyn FecCodec>> {
+        let flag = self.standard().flag();
+        Some(match (self, decoder) {
+            (StandardCode::Ldpc { code, .. }, Decoder::Layered) => labelled(
+                LayeredLdpcCodec::new(code, LayeredConfig::default()),
+                format!("{flag}-ldpc-n{}-layered", code.n()),
+            ),
+            (StandardCode::Ldpc { code, .. }, Decoder::Flooding) => labelled(
+                FloodingLdpcCodec::new(
+                    code,
+                    FloodingConfig {
+                        max_iterations: 10,
+                        ..FloodingConfig::default()
+                    },
+                ),
+                format!("{flag}-ldpc-n{}-flooding", code.n()),
+            ),
+            (StandardCode::Ldpc { code, .. }, Decoder::Quantized { lambda_bits }) => labelled(
+                QuantizedLayeredLdpcCodec::new(
+                    code,
+                    FixedLayeredConfig::default().with_lambda_bits(lambda_bits),
+                ),
+                format!("{flag}-ldpc-n{}-layered-q{lambda_bits}", code.n()),
+            ),
+            (
+                StandardCode::WimaxTurbo { code } | StandardCode::DvbRcsTurbo { code },
+                Decoder::Ctc(exchange),
+            ) => {
+                let mode = match exchange {
+                    ExtrinsicExchange::SymbolLevel => "symbol",
+                    ExtrinsicExchange::BitLevel => "bit",
+                };
+                labelled(
+                    TurboCodec::new(
+                        code,
+                        TurboDecoderConfig {
+                            exchange,
+                            ..TurboDecoderConfig::default()
+                        },
+                    ),
+                    format!("{flag}-ctc-{}c-{mode}", code.couples()),
+                )
+            }
+            (StandardCode::LteTurbo { code }, Decoder::Turbo) => labelled(
+                LteTurboCodec::new(code, LteTurboDecoderConfig::default()),
+                format!("{flag}-turbo-k{}", code.info_bits()),
+            ),
+            _ => return None,
+        })
+    }
+}
+
+/// Boxes `codec` under `label`, behind a [`NamedCodec`] only when the
+/// adapter's own name differs (the 802.16e and LTE adapters already report
+/// their standard's label).
+fn labelled<C: FecCodec + 'static>(codec: C, label: String) -> Box<dyn FecCodec> {
+    if codec.name() == label {
+        Box::new(codec)
+    } else {
+        Box::new(NamedCodec::new(codec, label))
     }
 }
 
@@ -473,6 +587,8 @@ mod tests {
         let q = code.quantized_codec().expect("LDPC has a quantized path");
         assert!(q.name().contains("80222"), "{}", q.name());
         assert!(q.name().contains("q7"), "{}", q.name());
+        let flooding = code.codec_for(Decoder::Flooding).unwrap();
+        assert_eq!(flooding.name(), "80222-ldpc-n384-flooding");
     }
 
     #[test]
@@ -583,5 +699,8 @@ mod tests {
         let q = wifi.quantized_codec().unwrap();
         assert!(q.name().contains("q7"), "{}", q.name());
         assert!(LteRegistry.corner_codes()[0].quantized_codec().is_none());
+        assert!(LteRegistry.corner_codes()[0]
+            .codec_for(Decoder::Ctc(ExtrinsicExchange::BitLevel))
+            .is_none());
     }
 }

@@ -11,21 +11,19 @@
 //! multi-worker curve run).
 //!
 //! Validation is fallible end to end: a bad standard, codec key, block
-//! length or stop-rule setting turns into a `rejected` reason, never a
-//! daemon panic.
+//! length, λ width or stop-rule setting turns into a `rejected` reason,
+//! never a daemon panic.  The codec itself is checked by
+//! [`CodecSpec::new`], the same check `ber_study` applies to its flags.
 
-use code_tables::{dvb_rcs_ctc, wifi_ldpc, wran_ldpc, LteTurboCode, Standard};
+use code_tables::{Decoder, Standard};
+use decoder_bench::spec::LAMBDA_ONLY_WIMAX;
 use decoder_bench::{
-    dvb_rcs_turbo_codec, ldpc_codec, lte_turbo_codec, quantized_ldpc_codec, standard_snrs,
-    study_engine_config, study_seed, turbo_codec, wifi_ldpc_codec, wran_ldpc_codec, AdaptiveFlags,
-    CodecClass, LdpcFlavor,
+    default_decoder, standard_snrs, study_engine_config, AdaptiveFlags, CodecSpec,
 };
-use fec_channel::sim::{FecCodec, SimulationEngine};
+use fec_channel::sim::{EngineConfig, SimulationEngine};
 use fec_json::{Json, ToJson};
 use fec_sched::Priority;
 use noc_decoder::{run_multi_compliance_sharded, ComplianceScope, DecoderConfig};
-use wimax_ldpc::{CodeRate, QcLdpcCode};
-use wimax_turbo::{CtcCode, ExtrinsicExchange};
 
 use crate::protocol::as_u64;
 
@@ -64,35 +62,13 @@ pub enum Unit {
     },
 }
 
-/// Which decoder a BER job runs, named like the CLI flags that select it.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum CodecKey {
-    /// Layered normalized min-sum, f64 reference datapath.
-    Layered,
-    /// Two-phase flooding normalized min-sum.
-    Flooding,
-    /// Fixed-point layered min-sum (the hardware datapath model).
-    Quantized,
-    /// Binary turbo (LTE only).
-    Turbo,
-    /// Duo-binary CTC with symbol-level extrinsic exchange.
-    TurboSymbol,
-    /// Duo-binary CTC with bit-level extrinsic exchange.
-    TurboBit,
-}
-
-/// The settings of one BER curve family, identical to a `ber_study` run
-/// with the same options (same seed, same engine assembly).
+/// The settings of one BER curve family, identical to a `ber_study` curve
+/// with the same options (same codec spec, hence the same seed, and the
+/// same engine assembly).
 #[derive(Debug, Clone)]
 pub struct BerSpec {
-    /// The standard whose code is decoded.
-    pub standard: Standard,
-    /// The decoder flavour.
-    pub codec: CodecKey,
-    /// Block size: LDPC length `n`, turbo info bits `k`, or CTC couples.
-    pub block: usize,
-    /// λ quantization width for the WiMAX fixed-point datapath.
-    pub lambda_bits: u32,
+    /// The codec the job decodes.
+    pub codec: CodecSpec,
     /// Frames per point (exact in fixed mode, a cap in adaptive mode).
     pub frames: u64,
     /// Frames per lockstep batch decode call.
@@ -102,53 +78,18 @@ pub struct BerSpec {
 }
 
 impl BerSpec {
-    fn class(&self) -> CodecClass {
-        match self.codec {
-            CodecKey::Layered | CodecKey::Flooding | CodecKey::Quantized => CodecClass::Ldpc,
-            CodecKey::Turbo | CodecKey::TurboSymbol | CodecKey::TurboBit => CodecClass::Turbo,
-        }
-    }
-
-    /// Builds the codec.  Infallible after [`parse`] validated the block.
-    fn build_codec(&self) -> Box<dyn FecCodec> {
-        let flavor = match self.codec {
-            CodecKey::Layered => Some(LdpcFlavor::Layered),
-            CodecKey::Flooding => Some(LdpcFlavor::Flooding),
-            CodecKey::Quantized => Some(LdpcFlavor::Quantized),
-            _ => None,
-        };
-        match (self.standard, self.codec) {
-            (Standard::Wimax, CodecKey::Quantized) => {
-                quantized_ldpc_codec(self.block, self.lambda_bits)
-            }
-            (Standard::Wimax, CodecKey::TurboSymbol) => {
-                turbo_codec(self.block, ExtrinsicExchange::SymbolLevel)
-            }
-            (Standard::Wimax, CodecKey::TurboBit) => {
-                turbo_codec(self.block, ExtrinsicExchange::BitLevel)
-            }
-            (Standard::Wimax, _) => ldpc_codec(self.block, flavor.expect("ldpc key")),
-            (Standard::Wifi80211n, _) => wifi_ldpc_codec(self.block, flavor.expect("ldpc key")),
-            (Standard::Wran80222, _) => wran_ldpc_codec(self.block, flavor.expect("ldpc key")),
-            (Standard::Lte, _) => lte_turbo_codec(self.block),
-            (Standard::DvbRcs, CodecKey::TurboSymbol) => {
-                dvb_rcs_turbo_codec(self.block, ExtrinsicExchange::SymbolLevel)
-            }
-            (Standard::DvbRcs, _) => dvb_rcs_turbo_codec(self.block, ExtrinsicExchange::BitLevel),
-        }
-    }
-
-    fn engine(&self) -> SimulationEngine {
-        // One worker: the unit runs serial inline on the pool worker it was
-        // scheduled on — no nested thread fan-out — and its counts are
-        // byte-identical to any multi-worker one-shot run of the same point.
-        SimulationEngine::new(study_engine_config(
+    /// The engine configuration.  One worker: the unit runs serial inline
+    /// on the pool worker it was scheduled on — no nested thread fan-out —
+    /// and its counts are byte-identical to any multi-worker one-shot run
+    /// of the same point.
+    fn engine_config(&self) -> EngineConfig {
+        study_engine_config(
             self.frames,
             1,
             self.batch_frames,
             self.adaptive,
-            study_seed(self.standard, self.class()),
-        ))
+            self.codec.seed(),
+        )
     }
 }
 
@@ -184,47 +125,25 @@ fn parse_standard(request: &Json) -> Result<Option<Standard>, String> {
 
 fn parse_ber(request: &Json, priority: Priority) -> Result<JobSpec, String> {
     let standard = parse_standard(request)?.unwrap_or(Standard::Wimax);
-    let codec = match request.get("codec").map(|v| v.as_str()) {
-        None => Ok(match standard {
-            Standard::Lte => CodecKey::Turbo,
-            Standard::DvbRcs => CodecKey::TurboBit,
-            _ => CodecKey::Layered,
-        }),
-        Some(Some("layered")) => Ok(CodecKey::Layered),
-        Some(Some("flooding")) => Ok(CodecKey::Flooding),
-        Some(Some("quantized")) => Ok(CodecKey::Quantized),
-        Some(Some("turbo")) => Ok(CodecKey::Turbo),
-        Some(Some("turbo-symbol")) => Ok(CodecKey::TurboSymbol),
-        Some(Some("turbo-bit")) => Ok(CodecKey::TurboBit),
-        Some(_) => Err(
-            "\"codec\" must be one of layered, flooding, quantized, turbo, \
-                        turbo-symbol, turbo-bit"
-                .to_string(),
-        ),
-    }?;
-    validate_combo(standard, codec)?;
-
+    let mut decoder = match request.get("codec") {
+        None => default_decoder(standard),
+        Some(v) => v.as_str().and_then(Decoder::from_key).ok_or_else(|| {
+            let keys = Decoder::ALL.map(Decoder::key);
+            format!("\"codec\" must be one of {}", keys.join(", "))
+        })?,
+    };
     let block = match request.get("block") {
-        None => default_block(standard, codec),
-        Some(v) => as_u64(v).ok_or("\"block\" must be a positive integer")? as usize,
+        None => None,
+        Some(v) => Some(as_u64(v).ok_or("\"block\" must be a positive integer")? as usize),
     };
-    validate_block(standard, codec, block)?;
-
-    let lambda_bits = match request.get("lambda_bits") {
-        None => 7,
-        Some(v) => {
-            if !(standard == Standard::Wimax && codec == CodecKey::Quantized) {
-                return Err(
-                    "\"lambda_bits\" is only meaningful for the wimax quantized codec".to_string(),
-                );
-            }
-            let bits = as_u64(v).ok_or("\"lambda_bits\" must be a positive integer")?;
-            if !(2..=15).contains(&bits) {
-                return Err("\"lambda_bits\" must be in 2..=15".to_string());
-            }
-            bits as u32
-        }
-    };
+    if let Some(v) = request.get("lambda_bits") {
+        let Decoder::Quantized { lambda_bits } = &mut decoder else {
+            return Err(LAMBDA_ONLY_WIMAX.to_string());
+        };
+        let bits = as_u64(v).ok_or("\"lambda_bits\" must be a positive integer")?;
+        *lambda_bits = u32::try_from(bits).unwrap_or(u32::MAX);
+    }
+    let codec = CodecSpec::new(standard, decoder, block)?;
 
     let frames = match request.get("frames") {
         None => 60,
@@ -274,18 +193,15 @@ fn parse_ber(request: &Json, priority: Priority) -> Result<JobSpec, String> {
     };
 
     let spec = BerSpec {
-        standard,
         codec,
-        block,
-        lambda_bits,
         frames,
         batch_frames,
         adaptive,
     };
     // Reuse the engine's own validation for the stop-rule ranges so the
     // daemon rejects exactly what the CLI would panic on.
-    spec.engine_config_for_validation().validate()?;
-    let label = spec.build_codec().name();
+    spec.engine_config().validate()?;
+    let label = codec.build().name();
     let units = snrs
         .into_iter()
         .map(|ebn0_db| Unit::Ber {
@@ -299,18 +215,6 @@ fn parse_ber(request: &Json, priority: Priority) -> Result<JobSpec, String> {
         priority,
         units,
     })
-}
-
-impl BerSpec {
-    fn engine_config_for_validation(&self) -> fec_channel::sim::EngineConfig {
-        study_engine_config(
-            self.frames,
-            1,
-            self.batch_frames,
-            self.adaptive,
-            study_seed(self.standard, self.class()),
-        )
-    }
 }
 
 fn parse_compliance(request: &Json, priority: Priority) -> Result<JobSpec, String> {
@@ -341,63 +245,6 @@ fn parse_compliance(request: &Json, priority: Priority) -> Result<JobSpec, Strin
     })
 }
 
-/// Standard/codec combinations the registries can actually build.
-fn validate_combo(standard: Standard, codec: CodecKey) -> Result<(), String> {
-    let ok = match standard {
-        Standard::Wimax => codec != CodecKey::Turbo,
-        Standard::Wifi80211n | Standard::Wran80222 => matches!(
-            codec,
-            CodecKey::Layered | CodecKey::Flooding | CodecKey::Quantized
-        ),
-        Standard::Lte => codec == CodecKey::Turbo,
-        Standard::DvbRcs => matches!(codec, CodecKey::TurboSymbol | CodecKey::TurboBit),
-    };
-    if ok {
-        Ok(())
-    } else {
-        Err(format!(
-            "codec is not available for standard {}",
-            standard.flag()
-        ))
-    }
-}
-
-/// The `ber_study` default block per `(standard, codec class)` family.
-fn default_block(standard: Standard, codec: CodecKey) -> usize {
-    match (standard, codec) {
-        (Standard::Wimax, CodecKey::TurboSymbol | CodecKey::TurboBit) => 240,
-        (Standard::Wimax, _) => 576,
-        (Standard::Wifi80211n, _) => 648,
-        (Standard::Wran80222, _) => 480,
-        (Standard::Lte, _) => 1024,
-        (Standard::DvbRcs, _) => 212,
-    }
-}
-
-/// Checks the block against the standard's code registry without
-/// constructing a decoder (the same tables the codec builders `expect` on).
-fn validate_block(standard: Standard, codec: CodecKey, block: usize) -> Result<(), String> {
-    let result = match (standard, codec) {
-        (Standard::Wimax, CodecKey::TurboSymbol | CodecKey::TurboBit) => CtcCode::wimax(block)
-            .map(|_| ())
-            .map_err(|e| format!("{e:?}")),
-        (Standard::Wimax, _) => QcLdpcCode::wimax(block, CodeRate::R12)
-            .map(|_| ())
-            .map_err(|e| format!("{e:?}")),
-        (Standard::Wifi80211n, _) => wifi_ldpc(block, CodeRate::R12)
-            .map(|_| ())
-            .map_err(|e| format!("{e:?}")),
-        (Standard::Wran80222, _) => wran_ldpc(block, CodeRate::R12)
-            .map(|_| ())
-            .map_err(|e| format!("{e:?}")),
-        (Standard::Lte, _) => LteTurboCode::new(block)
-            .map(|_| ())
-            .map_err(|e| format!("{e:?}")),
-        (Standard::DvbRcs, _) => dvb_rcs_ctc(block).map(|_| ()).map_err(|e| format!("{e:?}")),
-    };
-    result.map_err(|e| format!("invalid block {block} for {}: {e}", standard.flag()))
-}
-
 /// Executes one work unit, returning its result rows in order.  Panics in
 /// the decode path (none are expected after validation) are caught and
 /// turned into an error string, so a failing job never takes the daemon or
@@ -412,8 +259,9 @@ pub fn run_unit(unit: &Unit) -> Result<Vec<Json>, String> {
 fn run_unit_inner(unit: &Unit) -> Result<Vec<Json>, String> {
     match unit {
         Unit::Ber { spec, ebn0_db } => {
-            let codec = spec.build_codec();
-            let point = spec.engine().run_point(codec.as_ref(), *ebn0_db);
+            let codec = spec.codec.build();
+            let engine = SimulationEngine::new(spec.engine_config());
+            let point = engine.run_point(codec.as_ref(), *ebn0_db);
             Ok(vec![Json::obj([
                 ("label", Json::str(codec.name())),
                 ("point", point.to_json()),
@@ -504,6 +352,18 @@ mod tests {
                 r#"{"type":"submit","job":"ber","block":577}"#,
                 "invalid block 577",
             ),
+            (
+                r#"{"type":"submit","job":"ber","codec":"layered","lambda_bits":5}"#,
+                "only meaningful for the wimax quantized codec",
+            ),
+            (
+                r#"{"type":"submit","job":"ber","standard":"80211n","codec":"quantized","lambda_bits":5}"#,
+                "only meaningful for the wimax quantized codec",
+            ),
+            (
+                r#"{"type":"submit","job":"ber","codec":"quantized","lambda_bits":20}"#,
+                "must be in 2..=15",
+            ),
             (r#"{"type":"submit","job":"ber","frames":0}"#, "\"frames\""),
             (
                 r#"{"type":"submit","job":"ber","priority":"urgent"}"#,
@@ -538,35 +398,51 @@ mod tests {
         assert_eq!(one.units.len(), 1);
     }
 
+    /// Every `ber_study` curve (WiMAX with its `--lambda-bits 5` curve) is
+    /// a valid daemon job with the curve's label, and the job's unit row
+    /// equals the one-shot engine point at a different worker count —
+    /// bit-identical by the engine contract.
     #[test]
     fn ber_unit_rows_match_the_one_shot_engine_point() {
-        let spec = parse(&submit(
-            r#"{"type":"submit","job":"ber","frames":5,"snrs":[2.0]}"#,
-        ))
-        .unwrap();
-        let rows = run_unit(&spec.units[0]).unwrap();
-        assert_eq!(rows.len(), 1);
-        // The reference: the same engine assembly the CLI uses, at a
-        // different worker count — bit-identical by the engine contract.
-        let engine = SimulationEngine::new(study_engine_config(
-            5,
-            4,
-            1,
-            None,
-            study_seed(Standard::Wimax, CodecClass::Ldpc),
-        ));
-        let reference = engine.run_point(
-            decoder_bench::ldpc_codec(576, LdpcFlavor::Layered).as_ref(),
-            2.0,
-        );
-        assert_eq!(
-            rows[0].get("point").unwrap().to_string(),
-            reference.to_json().to_string()
-        );
-        assert_eq!(
-            rows[0].get("label").and_then(Json::as_str),
-            Some("wimax-ldpc-n576-layered")
-        );
+        let q5 = Decoder::Quantized { lambda_bits: 5 };
+        for standard in Standard::all() {
+            let quantized =
+                (standard == Standard::Wimax).then(|| CodecSpec::new(standard, q5, None).unwrap());
+            for (_, curves) in decoder_bench::study_sections(standard, quantized) {
+                for (spec, title) in curves {
+                    let lambda = match spec.decoder() {
+                        Decoder::Quantized { lambda_bits } if spec.decoder() != Decoder::Q7 => {
+                            format!(r#","lambda_bits":{lambda_bits}"#)
+                        }
+                        _ => String::new(),
+                    };
+                    let text = format!(
+                        r#"{{"type":"submit","job":"ber","standard":"{}","codec":"{}","block":{}{lambda},"frames":3,"snrs":[2.0]}}"#,
+                        standard.flag(),
+                        spec.decoder().key(),
+                        spec.block(),
+                    );
+                    let job = parse(&submit(&text)).unwrap_or_else(|e| panic!("{text}: {e}"));
+                    let codec = spec.build();
+                    assert_eq!(job.label, codec.name(), "{title}");
+                    let rows = run_unit(&job.units[0]).unwrap();
+                    assert_eq!(rows.len(), 1);
+                    let engine =
+                        SimulationEngine::new(study_engine_config(3, 4, 1, None, spec.seed()));
+                    let reference = engine.run_point(codec.as_ref(), 2.0);
+                    assert_eq!(
+                        rows[0].get("point").unwrap().to_string(),
+                        reference.to_json().to_string(),
+                        "{}",
+                        job.label
+                    );
+                    assert_eq!(
+                        rows[0].get("label").and_then(Json::as_str),
+                        Some(job.label.as_str())
+                    );
+                }
+            }
+        }
     }
 
     #[test]

@@ -13,11 +13,13 @@
 //!
 //! # Determinism
 //!
-//! A daemon BER job is built by [`decoder_bench::study_engine_config`] with
-//! the [`decoder_bench::study_seed`] of its `(standard, codec-class)`
-//! family — literally the same engine assembly as a `ber_study` run with
-//! the same options — and each `Eb/N0` point runs as one single-worker
-//! engine unit whose RNG stream is keyed on `(seed, shard, ebn0_db)`.  A
+//! A daemon BER job names its codec as a [`decoder_bench::CodecSpec`] —
+//! the same validated spec a `ber_study` curve is built from, with the same
+//! label and [`decoder_bench::CodecSpec::seed`] — and its engine comes from
+//! [`decoder_bench::study_engine_config`], literally the same engine
+//! assembly as a `ber_study` run with the same options.  Each `Eb/N0`
+//! point runs as one single-worker engine unit whose RNG stream is keyed
+//! on `(seed, shard, ebn0_db)`.  A
 //! job's rows are therefore byte-identical to the one-shot CLI output for
 //! any daemon worker count, and a cancelled job's emitted rows are
 //! byte-identical to the same rows of an uncancelled run.

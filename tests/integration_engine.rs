@@ -143,28 +143,6 @@ fn adaptive_quantized_ldpc_counts_are_identical_for_any_worker_and_batch_size() 
     }
 }
 
-/// An adaptive multi-point curve under a global frame cap stays bit-exact
-/// across worker counts with the real codec: rebalancing happens only at
-/// deterministic curve-wide round barriers.
-#[test]
-fn adaptive_curve_with_global_cap_is_identical_for_1_2_and_8_workers() {
-    let codec = quantized_ldpc_codec();
-    let run = |workers: usize| {
-        let engine = SimulationEngine::new(
-            EngineConfig::adaptive(512, 0.35, 0.9, 2012)
-                .with_global_frame_cap(Some(768))
-                .with_workers(workers),
-        );
-        engine.run_curve(&codec, &[1.0, 1.5, 2.0])
-    };
-    let reference = run(1);
-    let total: u64 = reference.points.iter().map(|p| p.frames).sum();
-    assert!(total <= 768, "global cap violated: {total} frames");
-    for workers in [2, 8] {
-        assert_eq!(run(workers), reference, "workers = {workers}");
-    }
-}
-
 /// The turbo codec satisfies the same worker-count invariance.
 #[test]
 fn turbo_counts_are_identical_for_1_2_and_8_workers() {

@@ -29,7 +29,6 @@ fn engine(workers: usize) -> SimulationEngine {
             target_frame_errors: u64::MAX,
             min_frames: 24,
         },
-        ..EngineConfig::default()
     })
 }
 
