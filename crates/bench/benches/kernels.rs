@@ -178,9 +178,11 @@ fn main() {
         );
     }
 
-    // Serial vs lockstep batch fixed decode on n576/R12, full 10-iteration
-    // budget with early termination off so every variant does identical
-    // work: the b8/b1 ratio is the pure lockstep (SoA) datapath speedup.
+    // The one fixed kernel at B=1 (its compile-time one-lane width; the row
+    // keeps its historical `serial_b1` name so baselines carry over) vs
+    // lockstep batches on n576/R12, full 10-iteration budget with early
+    // termination off so every variant does identical work: the b8/b1
+    // ratio is the pure lockstep (SoA) datapath speedup.
     let fixed10 = FixedLayeredDecoder::new(
         &code576,
         FixedLayeredConfig {

@@ -147,9 +147,6 @@ impl MinSumArith {
     /// means `|lambda - r| <= 32766`), so `saturating_sub` + clamp is
     /// bit-identical to the widening scalar path.
     ///
-    /// With the `simd` cargo feature the loop runs on explicit
-    /// `std::simd` lanes; the default scalar form autovectorizes.
-    ///
     /// # Panics
     ///
     /// Panics if the slice lengths differ.
@@ -158,11 +155,6 @@ impl MinSumArith {
         assert_eq!(q.len(), lambda.len());
         assert_eq!(q.len(), r.len());
         let (lo, hi) = (self.lambda_min as i16, self.lambda_max as i16);
-        #[cfg(feature = "simd")]
-        {
-            simd_lanes::q_message(q, lambda, r, lo, hi);
-        }
-        #[cfg(not(feature = "simd"))]
         for ((qf, &lf), &rf) in q.iter_mut().zip(lambda).zip(r) {
             *qf = lf.saturating_sub(rf).clamp(lo, hi);
         }
@@ -181,12 +173,8 @@ impl MinSumArith {
     #[inline]
     pub fn scaled_magnitude_lanes(&self, out: &mut [i16], mins: &[i16]) {
         assert_eq!(out.len(), mins.len());
-        let r_max = self.r_max;
         for (of, &mf) in out.iter_mut().zip(mins) {
-            debug_assert!(mf >= 0);
-            *of = (((NMS_SCALE_NUM * i32::from(mf) + (1 << (NMS_SCALE_SHIFT - 1)))
-                >> NMS_SCALE_SHIFT)
-                .min(r_max)) as i16;
+            *of = self.scale_magnitude(i32::from(mf)).min(self.r_max) as i16;
         }
     }
 
@@ -205,58 +193,8 @@ impl MinSumArith {
         assert_eq!(lambda.len(), q.len());
         assert_eq!(lambda.len(), r_new.len());
         let (lo, hi) = (self.lambda_min as i16, self.lambda_max as i16);
-        #[cfg(feature = "simd")]
-        {
-            simd_lanes::lambda_update(lambda, q, r_new, lo, hi);
-        }
-        #[cfg(not(feature = "simd"))]
         for ((lf, &qf), &rf) in lambda.iter_mut().zip(q).zip(r_new) {
             *lf = qf.saturating_add(rf).clamp(lo, hi);
-        }
-    }
-}
-
-/// Explicit `std::simd` implementations of the lane ops (the `simd` cargo
-/// feature, nightly toolchains only).  Scalar tails cover lane counts that
-/// are not a multiple of the vector width.
-#[cfg(feature = "simd")]
-mod simd_lanes {
-    use std::simd::cmp::SimdOrd;
-    use std::simd::num::SimdInt;
-    use std::simd::Simd;
-
-    /// Vector width: 8 × i16 = 128 bits, available everywhere.
-    const W: usize = 8;
-
-    pub fn q_message(q: &mut [i16], lambda: &[i16], r: &[i16], lo: i16, hi: i16) {
-        let lov = Simd::<i16, W>::splat(lo);
-        let hiv = Simd::<i16, W>::splat(hi);
-        let mut i = 0;
-        while i + W <= q.len() {
-            let lf = Simd::<i16, W>::from_slice(&lambda[i..i + W]);
-            let rf = Simd::<i16, W>::from_slice(&r[i..i + W]);
-            let qf = lf.saturating_sub(rf).simd_clamp(lov, hiv);
-            qf.copy_to_slice(&mut q[i..i + W]);
-            i += W;
-        }
-        for f in i..q.len() {
-            q[f] = lambda[f].saturating_sub(r[f]).clamp(lo, hi);
-        }
-    }
-
-    pub fn lambda_update(lambda: &mut [i16], q: &[i16], r_new: &[i16], lo: i16, hi: i16) {
-        let lov = Simd::<i16, W>::splat(lo);
-        let hiv = Simd::<i16, W>::splat(hi);
-        let mut i = 0;
-        while i + W <= lambda.len() {
-            let qf = Simd::<i16, W>::from_slice(&q[i..i + W]);
-            let rf = Simd::<i16, W>::from_slice(&r_new[i..i + W]);
-            let lf = qf.saturating_add(rf).simd_clamp(lov, hiv);
-            lf.copy_to_slice(&mut lambda[i..i + W]);
-            i += W;
-        }
-        for f in i..lambda.len() {
-            lambda[f] = q[f].saturating_add(r_new[f]).clamp(lo, hi);
         }
     }
 }

@@ -176,13 +176,13 @@ impl FecCodec for QuantizedLayeredLdpcCodec {
     }
 
     fn decode_frames(&self, frames: &[&[Llr]], obs: Option<&mut Registry>) -> Vec<DecodedFrame> {
-        // A batch of one runs the serial kernel, larger batches the
-        // lockstep struct-of-arrays kernel; both are bit-identical per
-        // frame.  Observed runs thread the registry through the datapath so
-        // quantizer saturation and min-sum clip counters (`fixed.*`) land
-        // next to the engine's `codec.*` family; the `fixed.*` Count
-        // metrics are per-frame functions, so the determinism contract
-        // extends to them.
+        // One lockstep struct-of-arrays kernel at any batch size, a single
+        // frame being a batch of one; every frame's result is bit-identical
+        // to decoding it alone.  Observed runs thread the registry through
+        // the datapath so quantizer saturation and min-sum clip counters
+        // (`fixed.*`) land next to the engine's `codec.*` family; the
+        // `fixed.*` Count metrics are per-frame functions, so the
+        // determinism contract extends to them.
         let input = FrameInput::Llr(frames);
         let outcomes = match obs {
             Some(obs) => self.decoder.decode_into(input, obs),

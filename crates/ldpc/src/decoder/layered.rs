@@ -55,12 +55,11 @@ pub struct LayeredDecoder {
     code: QcLdpcCode,
     config: LayeredConfig,
     /// CSR row pointers into `cols` (length `m + 1`), rows stored in the
-    /// exact layered schedule order [`decode`](LayeredDecoder::decode)
-    /// processes them — shared by all lanes of the batch path.
+    /// layered schedule order — shared by all lanes of a batch.
     row_ptr: Vec<u32>,
     /// Flattened column indices of every parity-check entry, schedule order.
     cols: Vec<u32>,
-    /// Largest check-node degree (batch scratch-buffer size).
+    /// Largest check-node degree (scratch-buffer size).
     max_degree: usize,
 }
 
@@ -69,8 +68,7 @@ impl LayeredDecoder {
     pub fn new(code: &QcLdpcCode, config: LayeredConfig) -> Self {
         // Flatten the parity-check rows into CSR in the layered schedule
         // order (layer by layer), mirroring the fixed-point decoder's
-        // layout, so the lockstep batch path walks the identical row
-        // sequence as the serial `decode` loop.
+        // layout.
         let h = code.parity_check();
         let mut row_ptr = Vec::with_capacity(code.m() + 1);
         let mut cols = Vec::with_capacity(code.edge_count());
@@ -98,88 +96,25 @@ impl LayeredDecoder {
         &self.config
     }
 
-    /// Decodes a block of channel LLRs.
+    /// Decodes a block of channel LLRs: a batch of one through
+    /// [`decode_batch`](Self::decode_batch).
     ///
     /// # Panics
     ///
     /// Panics if `channel.len() != code.n()`.
     pub fn decode(&self, channel: &[Llr]) -> DecodeOutcome {
-        assert_eq!(
-            channel.len(),
-            self.code.n(),
-            "LLR vector length must equal the code length"
-        );
-        let code = &self.code;
-        let m = code.m();
-        let h = code.parity_check();
-
-        // lambda[k]: current bit LLR; r[row][j]: stored R_lk for the j-th entry of the row.
-        let mut lambda: Vec<f64> = channel.iter().map(|l| l.value()).collect();
-        let mut r: Vec<Vec<f64>> = (0..m).map(|row| vec![0.0; h.row_degree(row)]).collect();
-
-        let mut iterations = 0;
-        let mut converged = false;
-
-        for it in 0..self.config.max_iterations {
-            iterations = it + 1;
-            for layer in code.layers() {
-                for &row in &layer {
-                    let cols = h.row(row);
-                    // Q_lk = lambda_old - R_old, Eq. (6); two-minimum extraction, Eq. (11).
-                    let mut meu = MinimumExtractionUnit::new();
-                    let mut q = Vec::with_capacity(cols.len());
-                    for (j, &col) in cols.iter().enumerate() {
-                        let qlk = lambda[col] - r[row][j];
-                        meu.push(j, qlk);
-                        q.push(qlk);
-                    }
-                    // R_new and lambda update, Eq. (9)-(10), with the optional
-                    // offset-min-sum correction applied before normalization.
-                    for (j, &col) in cols.iter().enumerate() {
-                        let sign_excl = if q[j] < 0.0 {
-                            -meu.sign_product()
-                        } else {
-                            meu.sign_product()
-                        };
-                        let magnitude = (meu.magnitude_for(j) - self.config.offset).max(0.0);
-                        let r_new = self.config.scale * sign_excl * magnitude;
-                        lambda[col] = q[j] + r_new;
-                        r[row][j] = r_new;
-                    }
-                }
-            }
-
-            let hard: Vec<u8> = lambda.iter().map(|&l| Llr::new(l).hard_bit()).collect();
-            if self.config.early_termination && h.is_codeword(&hard) {
-                converged = true;
-                return DecodeOutcome {
-                    hard_bits: hard,
-                    posterior: lambda,
-                    iterations,
-                    converged,
-                };
-            }
-        }
-
-        let hard: Vec<u8> = lambda.iter().map(|&l| Llr::new(l).hard_bit()).collect();
-        if h.is_codeword(&hard) {
-            converged = true;
-        }
-        DecodeOutcome {
-            hard_bits: hard,
-            posterior: lambda,
-            iterations,
-            converged,
-        }
+        self.decode_batch(&[channel])
+            .pop()
+            .expect("one outcome per frame")
     }
 
     /// Decodes a batch of frames, one [`DecodeOutcome`] per frame in input
-    /// order.  A batch of one runs [`decode`](LayeredDecoder::decode);
-    /// larger batches run **in lockstep** over the shared CSR structure: λ
-    /// and the `R` messages live in struct-of-arrays buffers (frame
-    /// innermost, `lambda[v * batch + f]`), so every row update runs over
-    /// `batch` contiguous lanes — the floating-point counterpart of the
-    /// fixed-point decoder's batch datapath.
+    /// order.  The frames run **in lockstep** over the shared CSR
+    /// structure: λ and the `R` messages live in struct-of-arrays buffers
+    /// (frame innermost, `lambda[v * batch + f]`), so every row update runs
+    /// over `batch` contiguous lanes — the floating-point counterpart of the
+    /// fixed-point decoder's batch datapath.  A single frame is a batch of
+    /// one.
     ///
     /// Early termination is per-lane: a converged frame's λ and `R` lanes
     /// are frozen while the others keep iterating, so every lane's result
@@ -190,16 +125,9 @@ impl LayeredDecoder {
     ///
     /// Panics if any frame's length differs from `code.n()`.
     pub fn decode_batch(&self, frames: &[&[Llr]]) -> Vec<DecodeOutcome> {
-        match frames {
-            [] => Vec::new(),
-            [frame] => vec![self.decode(frame)],
-            _ => self.decode_lanes(frames),
+        if frames.is_empty() {
+            return Vec::new();
         }
-    }
-
-    /// The lockstep iteration behind [`decode_batch`](Self::decode_batch),
-    /// for any non-empty batch.
-    fn decode_lanes(&self, frames: &[&[Llr]]) -> Vec<DecodeOutcome> {
         let n = self.code.n();
         let batch = frames.len();
         let h = self.code.parity_check();
@@ -247,9 +175,9 @@ impl LayeredDecoder {
                 }
 
                 // Two-minimum extraction and the R/λ update, Eq. (9)-(11),
-                // per lane in the exact arithmetic order of the serial
-                // loop, so each lane stays bit-identical to `decode`.
-                // Converged lanes are skipped: their λ and R stay frozen.
+                // per lane, with the optional offset-min-sum correction
+                // applied before normalization.  Converged lanes are
+                // skipped: their λ and R stay frozen.
                 for f in 0..batch {
                     if !active[f] {
                         continue;
@@ -561,10 +489,5 @@ mod tests {
         assert!(dec.decode_batch(&[]).is_empty());
         let frame = vec![Llr::new(6.0); code.n()];
         assert_eq!(dec.decode_batch(&[&frame]), vec![dec.decode(&frame)]);
-        // The lockstep kernel itself at B=1 (decode_batch routes a batch of
-        // one to the serial kernel).
-        for frame in mixed_batch(&code) {
-            assert_outcomes_bit_identical(&dec.decode_lanes(&[&frame]), &[dec.decode(&frame)]);
-        }
     }
 }

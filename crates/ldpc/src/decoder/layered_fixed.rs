@@ -8,14 +8,12 @@
 //! the `3/4` normalization of Eq. (11) is a shift-add, and the `R_lk`
 //! messages are saturated to `r_bits` before being written back.
 //!
-//! It is also the workspace's fast path.  The per-row `Vec<Vec<f64>>`
-//! message storage of the reference decoder is flattened into contiguous
-//! CSR-style buffers (`row_ptr`/`cols`/`r`), and the two-minimum extraction
-//! runs through the branch-light batch kernel
-//! [`MinimumExtractionUnit::scan`], so the hot loop is pure integer
-//! compare/select arithmetic over dense slices — autovectorizer food.  See
-//! `cargo bench -p decoder-bench --bench kernels` for the comparison against
-//! the scalar f64 baseline.
+//! Messages live in contiguous CSR-style buffers (`row_ptr`/`cols`/`r`),
+//! and the two-minimum extraction runs through the branch-light batch
+//! kernel [`MinimumExtractionUnit::scan_batch`], so the hot loop is pure
+//! integer compare/select arithmetic over dense slices — autovectorizer
+//! food.  See `cargo bench -p decoder-bench --bench kernels` for the
+//! comparison against the f64 reference.
 
 use super::{BatchTwoMinScan, DecodeOutcome, MinimumExtractionUnit};
 use crate::code::QcLdpcCode;
@@ -31,8 +29,7 @@ thread_local! {
     static SCRATCH: RefCell<FixedScratch> = RefCell::new(FixedScratch::default());
 }
 
-/// Reusable working memory of the fixed-point decoder, for both the serial
-/// and the batch lockstep paths.
+/// Reusable working memory of the fixed-point decoder at any batch size.
 ///
 /// The buffers hold **struct-of-arrays** data, frame innermost:
 /// `lambda[v * batch + f]` is variable `v` of frame lane `f`,
@@ -223,13 +220,14 @@ impl FixedLayeredDecoder {
     /// frame, in input order, emitting frame/iteration/saturation count
     /// metrics into `rec`.
     ///
-    /// A batch of one runs the serial iteration; larger batches run **in
-    /// lockstep** over the shared CSR structure: λ and `R` live in
-    /// struct-of-arrays buffers (frame innermost), so the two-minimum scan
-    /// and every saturating message update run over `B` contiguous lanes.
-    /// Either way each frame's result is bit-identical to decoding it alone,
-    /// and so are the Count-class metrics; the lockstep path additionally
-    /// reports Execution-class over-work (per-lane iteration histogram and
+    /// The frames run **in lockstep** over the shared CSR structure: λ and
+    /// `R` live in struct-of-arrays buffers (frame innermost), so the
+    /// two-minimum scan and every saturating message update run over `B`
+    /// contiguous lanes.  One kernel serves every batch size; a batch of
+    /// one runs it at a lane width fixed at compile time.  Each frame's
+    /// result is bit-identical to decoding it alone, and so are the
+    /// Count-class metrics; batches of two or more frames additionally
+    /// report Execution-class over-work (per-lane iteration histogram and
     /// over-work counters).
     ///
     /// # Panics
@@ -246,8 +244,8 @@ impl FixedLayeredDecoder {
             let scratch = &mut *s.borrow_mut();
             match self.load_lambda(input, scratch, rec) {
                 0 => Vec::new(),
-                1 => vec![self.decode_lambda(scratch, rec)],
-                batch => self.decode_lanes(batch, scratch, rec),
+                1 => self.decode_lanes::<R, 1>(1, scratch, rec),
+                batch => self.decode_lanes::<R, 0>(batch, scratch, rec),
             }
         })
     }
@@ -318,10 +316,9 @@ impl FixedLayeredDecoder {
         batch
     }
 
-    /// Per-frame count metrics shared by the serial and lockstep paths.
-    /// Both must emit identical values for the same frame — lockstep lanes
-    /// are bit-identical to serial decodes, so these counts stay part of
-    /// the determinism contract at any batch size.
+    /// Per-frame count metrics.  Lockstep lanes are bit-identical to
+    /// single-frame decodes, so these counts stay part of the determinism
+    /// contract at any batch size.
     fn record_frame_counts<R: Recorder>(&self, rec: &mut R, iterations: usize, converged: bool) {
         rec.incr(Class::Count, "fixed.frames", 1);
         rec.observe(Class::Count, "fixed.iterations", iterations as u64);
@@ -333,132 +330,31 @@ impl FixedLayeredDecoder {
         }
     }
 
-    /// The serial fixed-point layered iteration over the CSR message
-    /// buffers; `scratch.lambda` holds the quantized λ values on entry.
-    ///
-    /// Generic over [`Recorder`]: every recording site sits behind
-    /// `R::ENABLED`, an associated `const`, so the [`NoopRecorder`]
-    /// monomorphization is the exact pre-instrumentation loop (gated by the
-    /// kernels bench).
-    fn decode_lambda<R: Recorder>(&self, scratch: &mut FixedScratch, rec: &mut R) -> DecodeOutcome {
-        let m = self.code.m();
-        let h = self.code.parity_check();
-        let arith = &self.arith;
-        let mut sat_q = 0u64;
-        let mut r_clip = 0u64;
-        let mut sat_lambda = 0u64;
-
-        let FixedScratch {
-            lambda, r, q, hard, ..
-        } = scratch;
-
-        // Contiguous R message memory, one entry per parity-check edge
-        // (i16: `r_bits` may legally be up to 15); zeroed for this frame.
-        r.clear();
-        r.resize(self.cols.len(), 0);
-        // Scratch Q_lk buffer, reused across rows.
-        q.clear();
-        q.resize(self.max_degree, 0);
-        hard.clear();
-        hard.resize(lambda.len(), 0);
-
-        let mut iterations = 0;
-        let mut converged = false;
-
-        for it in 0..self.config.max_iterations {
-            iterations = it + 1;
-            // Natural row order == layered schedule (see `row_ptr` docs).
-            for row in 0..m {
-                let start = self.row_ptr[row] as usize;
-                let end = self.row_ptr[row + 1] as usize;
-                let cols = &self.cols[start..end];
-                let r_row = &mut r[start..end];
-                let q_row = &mut q[..cols.len()];
-
-                // Q_lk = lambda_old - R_old, Eq. (6), saturated.
-                for ((qj, &col), &rj) in q_row.iter_mut().zip(cols).zip(r_row.iter()) {
-                    let lam = i32::from(lambda[col as usize]);
-                    let rv = i32::from(rj);
-                    if R::ENABLED && arith.q_saturates(lam, rv) {
-                        sat_q += 1;
-                    }
-                    *qj = arith.q_message(lam, rv);
-                }
-
-                // Two-minimum extraction, Eq. (11), as one batch scan.
-                let scan = MinimumExtractionUnit::scan(q_row);
-                if R::ENABLED {
-                    r_clip += u64::from(arith.r_clips(i32::from(scan.min1)));
-                    r_clip += u64::from(arith.r_clips(i32::from(scan.min2)));
-                }
-                let mag1 = arith.r_message(i32::from(scan.min1), false);
-                let mag2 = arith.r_message(i32::from(scan.min2), false);
-
-                // R_new and lambda update, Eq. (9)-(10).
-                for (j, ((&qj, &col), rj)) in
-                    q_row.iter().zip(cols).zip(r_row.iter_mut()).enumerate()
-                {
-                    let mag = if j as u32 == scan.min1_pos {
-                        mag2
-                    } else {
-                        mag1
-                    };
-                    let negative = (qj < 0) != scan.negative_parity;
-                    let r_new = if negative { -mag } else { mag };
-                    if R::ENABLED && arith.lambda_saturates(i32::from(qj), i32::from(r_new)) {
-                        sat_lambda += 1;
-                    }
-                    lambda[col as usize] = arith.lambda_update(i32::from(qj), i32::from(r_new));
-                    *rj = r_new;
-                }
-            }
-
-            for (hb, &l) in hard.iter_mut().zip(lambda.iter()) {
-                *hb = u8::from(l < 0);
-            }
-            if self.config.early_termination && h.is_codeword(hard) {
-                converged = true;
-                break;
-            }
-        }
-
-        if !converged {
-            for (hb, &l) in hard.iter_mut().zip(lambda.iter()) {
-                *hb = u8::from(l < 0);
-            }
-            converged = h.is_codeword(hard);
-        }
-        if R::ENABLED {
-            self.record_frame_counts(rec, iterations, converged);
-            rec.incr(Class::Count, "fixed.sat_q", sat_q);
-            rec.incr(Class::Count, "fixed.r_clip", r_clip);
-            rec.incr(Class::Count, "fixed.sat_lambda", sat_lambda);
-        }
-        let scale = self.quantizer.scale();
-        DecodeOutcome {
-            hard_bits: hard.clone(),
-            posterior: lambda.iter().map(|&l| f64::from(l) / scale).collect(),
-            iterations,
-            converged,
-        }
-    }
-
-    /// The lockstep batch iteration: identical arithmetic to
-    /// [`decode_lambda`](FixedLayeredDecoder::decode_lambda) per lane, but
+    /// The fixed-point layered iteration over the CSR message buffers:
     /// every loop body runs over `batch` contiguous frame lanes of the
     /// struct-of-arrays buffers.  `scratch.lambda` holds the `[var][frame]`
     /// λ values on entry.
     ///
+    /// `W` is the lane width when it is known at compile time (`1` for a
+    /// single frame, so the lane loops collapse to scalar code) and `0`
+    /// for a width only known at run time, taken from `batch`.
+    ///
     /// Early termination is per-lane: a converged frame's λ and `R` lanes
     /// are frozen (masked writes), so its result — and every other
-    /// lane's — matches the serial path bit for bit; once every lane has
-    /// converged the iteration stops entirely.
-    fn decode_lanes<R: Recorder>(
+    /// lane's — matches decoding that frame alone bit for bit; once every
+    /// lane has converged the iteration stops entirely.
+    ///
+    /// Generic over [`Recorder`]: every recording site sits behind
+    /// `R::ENABLED`, an associated `const`, so the [`NoopRecorder`]
+    /// monomorphization is the exact uninstrumented loop (gated by the
+    /// kernels bench).
+    fn decode_lanes<R: Recorder, const W: usize>(
         &self,
         batch: usize,
         scratch: &mut FixedScratch,
         rec: &mut R,
     ) -> Vec<DecodeOutcome> {
+        let batch = if W == 0 { batch } else { W };
         let n = self.code.n();
         let m = self.code.m();
         let h = self.code.parity_check();
@@ -496,6 +392,11 @@ impl FixedLayeredDecoder {
         iterations.resize(batch, 0);
         converged.clear();
         converged.resize(batch, false);
+        // Plain slices from here on, so their bounds stay in registers
+        // instead of being reloaded from the scratch struct after stores.
+        let (lambda, r, q, hard) = (&mut lambda[..], &mut r[..], &mut q[..], &mut hard[..]);
+        let (active, iterations, converged) =
+            (&mut active[..], &mut iterations[..], &mut converged[..]);
         let mut live = batch;
         let mut exec = 0usize;
 
@@ -511,15 +412,15 @@ impl FixedLayeredDecoder {
                 let end = self.row_ptr[row + 1] as usize;
                 let cols = &self.cols[start..end];
                 let q_rows = &mut q[..cols.len() * batch];
+                let r_rows = &mut r[start * batch..end * batch];
 
                 // Q_lk = lambda_old - R_old per lane, Eq. (6), saturated.
-                // The saturation count only looks at live lanes, so it
-                // matches the serial path's count frame for frame (λ and R
-                // are still the pre-update values here).
+                // The saturation count only looks at live lanes, so it is
+                // the same frame for frame at any batch size (λ and R are
+                // still the pre-update values here).
                 if R::ENABLED {
-                    for (j, &col) in cols.iter().enumerate() {
-                        let lam = &lambda[col as usize * batch..(col as usize + 1) * batch];
-                        let r_row = &r[(start + j) * batch..(start + j + 1) * batch];
+                    for (&col, r_row) in cols.iter().zip(r_rows.chunks_exact(batch)) {
+                        let lam = &lambda[col as usize * batch..][..batch];
                         for f in 0..batch {
                             if active[f]
                                 && arith.q_saturates(i32::from(lam[f]), i32::from(r_row[f]))
@@ -529,12 +430,13 @@ impl FixedLayeredDecoder {
                         }
                     }
                 }
-                for (j, &col) in cols.iter().enumerate() {
-                    arith.q_message_lanes(
-                        &mut q_rows[j * batch..(j + 1) * batch],
-                        &lambda[col as usize * batch..(col as usize + 1) * batch],
-                        &r[(start + j) * batch..(start + j + 1) * batch],
-                    );
+                for ((q_row, &col), r_row) in q_rows
+                    .chunks_exact_mut(batch)
+                    .zip(cols)
+                    .zip(r_rows.chunks_exact(batch))
+                {
+                    let lam = &lambda[col as usize * batch..][..batch];
+                    arith.q_message_lanes(q_row, lam, r_row);
                 }
 
                 // Per-lane two-minimum extraction, Eq. (11), one lockstep
@@ -553,18 +455,24 @@ impl FixedLayeredDecoder {
                         }
                     }
                 }
-                arith.scaled_magnitude_lanes(mag1, &scan.min1);
-                arith.scaled_magnitude_lanes(mag2, &scan.min2);
+                let min1_pos = &scan.min1_pos[..batch];
+                let parity = &scan.negative_parity[..batch];
+                let (mag1, mag2) = (&mut mag1[..batch], &mut mag2[..batch]);
+                arith.scaled_magnitude_lanes(mag1, &scan.min1[..batch]);
+                arith.scaled_magnitude_lanes(mag2, &scan.min2[..batch]);
 
                 // R_new and lambda update per lane, Eq. (9)-(10).  Inactive
                 // (converged) lanes keep their frozen λ/R via the select on
                 // `active`, which stays branch-light for the vectorizer.
                 let all_active = live == batch;
-                for (j, &col) in cols.iter().enumerate() {
+                for (j, ((q_row, &col), r_row)) in q_rows
+                    .chunks_exact(batch)
+                    .zip(cols)
+                    .zip(r_rows.chunks_exact_mut(batch))
+                    .enumerate()
+                {
                     let j32 = j as u32;
-                    let q_row = &q_rows[j * batch..(j + 1) * batch];
-                    let lam = &mut lambda[col as usize * batch..(col as usize + 1) * batch];
-                    let r_row = &mut r[(start + j) * batch..(start + j + 1) * batch];
+                    let lam = &mut lambda[col as usize * batch..][..batch];
                     if all_active {
                         // Fast path — no convergence mask in flight: write
                         // the signed R messages straight into the edge
@@ -572,9 +480,9 @@ impl FixedLayeredDecoder {
                         // update over the contiguous lanes.
                         for ((((&qj, &pos), (&m1, &m2)), &par), rf) in q_row
                             .iter()
-                            .zip(scan.min1_pos.iter())
+                            .zip(min1_pos)
                             .zip(mag1.iter().zip(mag2.iter()))
-                            .zip(scan.negative_parity.iter())
+                            .zip(parity)
                             .zip(r_row.iter_mut())
                         {
                             let mag = if j32 == pos { m2 } else { m1 };
@@ -595,9 +503,9 @@ impl FixedLayeredDecoder {
                         // λ and R via branch-light selects.
                         for ((((((&qj, &pos), (&m1, &m2)), &par), &act), lamf), rf) in q_row
                             .iter()
-                            .zip(scan.min1_pos.iter())
+                            .zip(min1_pos)
                             .zip(mag1.iter().zip(mag2.iter()))
-                            .zip(scan.negative_parity.iter())
+                            .zip(parity)
                             .zip(active.iter())
                             .zip(lam.iter_mut())
                             .zip(r_row.iter_mut())
@@ -624,8 +532,8 @@ impl FixedLayeredDecoder {
                     if !active[f] {
                         continue;
                     }
-                    for (v, hb) in hard.iter_mut().enumerate() {
-                        *hb = u8::from(lambda[v * batch + f] < 0);
+                    for (hb, lanes) in hard.iter_mut().zip(lambda.chunks_exact(batch)) {
+                        *hb = u8::from(lanes[f] < 0);
                     }
                     if h.is_codeword(hard) {
                         converged[f] = true;
@@ -642,14 +550,11 @@ impl FixedLayeredDecoder {
         let scale = self.quantizer.scale();
         let outcomes: Vec<DecodeOutcome> = (0..batch)
             .map(|f| {
-                let hard_bits: Vec<u8> = (0..n)
-                    .map(|v| u8::from(lambda[v * batch + f] < 0))
-                    .collect();
+                let lane = || lambda.chunks_exact(batch).map(|lanes| lanes[f]);
+                let hard_bits: Vec<u8> = lane().map(|l| u8::from(l < 0)).collect();
                 let lane_converged = converged[f] || h.is_codeword(&hard_bits);
                 DecodeOutcome {
-                    posterior: (0..n)
-                        .map(|v| f64::from(lambda[v * batch + f]) / scale)
-                        .collect(),
+                    posterior: lane().map(|l| f64::from(l) / scale).collect(),
                     hard_bits,
                     iterations: iterations[f],
                     converged: lane_converged,
@@ -657,14 +562,23 @@ impl FixedLayeredDecoder {
             })
             .collect();
         if R::ENABLED {
-            // Count-class metrics: identical to what the serial path would
-            // record for the same frames.  Execution-class metrics quantify
-            // the lockstep schedule itself: each lane occupies its SIMD slot
-            // for all `exec` loop iterations, so `exec - iterations[f]` is
-            // the over-work a lane's early termination could not reclaim.
-            let mut overwork = 0u64;
+            // Count-class metrics: per-frame functions, the same at any
+            // batch size.
             for out in &outcomes {
                 self.record_frame_counts(rec, out.iterations, out.converged);
+            }
+            rec.incr(Class::Count, "fixed.sat_q", sat_q);
+            rec.incr(Class::Count, "fixed.r_clip", r_clip);
+            rec.incr(Class::Count, "fixed.sat_lambda", sat_lambda);
+        }
+        if R::ENABLED && W != 1 {
+            // Execution-class metrics quantify the lockstep schedule
+            // itself: each lane occupies its SIMD slot for all `exec` loop
+            // iterations, so `exec - iterations[f]` is the over-work a
+            // lane's early termination could not reclaim.  A single frame
+            // has no lockstep schedule and reports none.
+            let mut overwork = 0u64;
+            for out in &outcomes {
                 rec.observe(
                     Class::Execution,
                     "fixed.lane_iterations",
@@ -672,9 +586,6 @@ impl FixedLayeredDecoder {
                 );
                 overwork += (exec - out.iterations) as u64;
             }
-            rec.incr(Class::Count, "fixed.sat_q", sat_q);
-            rec.incr(Class::Count, "fixed.r_clip", r_clip);
-            rec.incr(Class::Count, "fixed.sat_lambda", sat_lambda);
             rec.observe(Class::Execution, "fixed.batch_exec_iterations", exec as u64);
             rec.incr(Class::Execution, "fixed.overwork_iters", overwork);
             rec.incr(Class::Execution, "fixed.lockstep_lanes", batch as u64);
@@ -692,7 +603,7 @@ mod tests {
     use proptest::prelude::*;
     use rand::{Rng, SeedableRng};
 
-    /// Decodes one already-quantized frame (the serial kernel).
+    /// Decodes one already-quantized frame (the kernel at lane width 1).
     fn serial(dec: &FixedLayeredDecoder, frame: &[i16]) -> DecodeOutcome {
         let input = FrameInput::Quantized {
             frames: frame,
@@ -706,12 +617,13 @@ mod tests {
         dec.decode_into(FrameInput::Quantized { frames, batch }, &mut NoopRecorder)
     }
 
-    /// The lockstep kernel at any batch size, including the batch of one
-    /// that `decode_into` hands to the serial kernel.
+    /// The kernel at the run-time lane width (`W = 0`) for any batch size,
+    /// including the batch of one that `decode_into` runs at `W = 1`, so
+    /// comparing the two compares two monomorphizations.
     fn lockstep(dec: &FixedLayeredDecoder, input: FrameInput<'_>) -> Vec<DecodeOutcome> {
         let mut scratch = FixedScratch::default();
         let batch = dec.load_lambda(input, &mut scratch, &mut NoopRecorder);
-        dec.decode_lanes(batch, &mut scratch, &mut NoopRecorder)
+        dec.decode_lanes::<_, 0>(batch, &mut scratch, &mut NoopRecorder)
     }
 
     fn noisy_llrs(cw: &[u8], sigma: f64, seed: u64) -> Vec<Llr> {
@@ -972,8 +884,8 @@ mod tests {
 
     #[test]
     fn scratch_reuse_across_calls_is_harmless() {
-        // The thread's scratch driven through the serial and the lockstep
-        // kernels in alternation must not leak state between calls.
+        // The thread's scratch driven through single frames and a batch in
+        // alternation must not leak state between calls.
         let code = QcLdpcCode::wimax(576, CodeRate::R12).unwrap();
         let dec = FixedLayeredDecoder::new(&code, FixedLayeredConfig::default());
         let n = code.n();

@@ -196,6 +196,7 @@ impl MinimumExtractionUnit {
     /// # Panics
     ///
     /// Panics if `lanes == 0` or `q.len()` is not a multiple of `lanes`.
+    #[inline(always)]
     pub fn scan_batch(q: &[i16], lanes: usize, out: &mut BatchTwoMinScan) {
         assert!(lanes > 0, "scan_batch needs at least one lane");
         assert_eq!(
@@ -206,10 +207,11 @@ impl MinimumExtractionUnit {
         let degree = q.len() / lanes;
         out.reset(lanes);
         if degree == 0 {
-            // Empty row: `scan`'s all-zero convention, already set by reset.
+            // Empty row: `scan`'s all-zero convention.
             out.min1.iter_mut().for_each(|m| *m = 0);
             out.min2.iter_mut().for_each(|m| *m = 0);
             out.min1_pos.iter_mut().for_each(|p| *p = 0);
+            out.negative_parity.iter_mut().for_each(|p| *p = false);
             return;
         }
         // Lane blocks of 8 keep the four running accumulators in registers
@@ -306,15 +308,12 @@ impl BatchTwoMinScan {
         }
     }
 
-    /// Resizes every buffer to `lanes` and restores scan start values.
+    /// Resizes every buffer to `lanes`; the scan then writes every lane.
+    #[inline(always)]
     fn reset(&mut self, lanes: usize) {
-        self.min1.clear();
-        self.min1.resize(lanes, i16::MAX);
-        self.min2.clear();
-        self.min2.resize(lanes, i16::MAX);
-        self.min1_pos.clear();
-        self.min1_pos.resize(lanes, u32::MAX);
-        self.negative_parity.clear();
+        self.min1.resize(lanes, 0);
+        self.min2.resize(lanes, 0);
+        self.min1_pos.resize(lanes, 0);
         self.negative_parity.resize(lanes, false);
     }
 }
